@@ -91,10 +91,6 @@ fn main() {
         "obs_overhead: STREAM ADD, {} elems, {} threads, {PAIRS_PER_ROUND} pairs/round",
         sc.total_elems, sc.nthreads
     );
-    // Phase profiling adds per-epoch clock reads by design; keep it off
-    // so this gate isolates the always-on registry cost.
-    emu_core::engine::set_phase_profile(false);
-
     // Warm-up run (page faults, lazy registry allocation) outside the
     // sample: the first enabled run leaks its counter handles.
     obs::set_enabled(true);

@@ -445,17 +445,17 @@ fn cmd_trace(p: &Parsed) -> Result<(), String> {
     let jsonl_out = path_opt("jsonl-out", format!("trace_{bench}.jsonl"));
     let report_out = path_opt("report-json", format!("trace_{bench}.report.json"));
 
-    // Arm the process-global telemetry config and the report collector,
-    // then run the workload through the ordinary benchmark entry point.
-    let guard = trace::GlobalTelemetryGuard::arm(TelemetryConfig {
-        event_capacity: events,
-        timeline_bucket: Some(desim::time::Time::from_us(bucket_us)),
-    });
-    trace::collect_reports(true);
-    let outcome = run_traced_bench(p, &bench, &cfg);
-    drop(guard);
-    let reports = trace::take_reports();
-    trace::collect_reports(false);
+    // Run the workload through the ordinary benchmark entry point in a
+    // scope with telemetry and the report collector armed.
+    let (outcome, reports) = trace::RunScope::current()
+        .with_telemetry(TelemetryConfig {
+            event_capacity: events,
+            timeline_bucket: Some(desim::time::Time::from_us(bucket_us)),
+        })
+        .enter(|| {
+            trace::collect_reports(true);
+            (run_traced_bench(p, &bench, &cfg), trace::take_reports())
+        });
     outcome?;
 
     let traced = reports
@@ -557,9 +557,6 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     let elems: u64 = emu_bench::runcfg::sized(p.get("elems", 1u64 << 16)?, 1 << 12);
     let gate: bool = p.get("gate", false)?;
     let phases: bool = p.get("phases", false)?;
-    if phases {
-        emu_core::engine::set_phase_profile(true);
-    }
 
     struct Leg {
         name: &'static str,
@@ -576,13 +573,16 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     // reports *before* the byte-identity comparison.
     let run_leg = |name: &'static str, body: &dyn Fn() -> Result<(), String>| {
         let timed = |threads: usize| -> Result<(u64, f64, String, Vec<PdesPhaseProfile>), String> {
-            emu_core::engine::set_sim_threads(threads);
-            trace::collect_reports(true);
-            let t0 = Instant::now();
-            let outcome = body();
-            let dt = t0.elapsed().as_secs_f64();
-            let mut reports = trace::take_reports();
-            trace::collect_reports(false);
+            let scope = trace::RunScope::current()
+                .with_sim_threads(threads)
+                .with_phase_profile(phases);
+            let (outcome, dt, mut reports) = scope.enter(|| {
+                trace::collect_reports(true);
+                let t0 = Instant::now();
+                let outcome = body();
+                let dt = t0.elapsed().as_secs_f64();
+                (outcome, dt, trace::take_reports())
+            });
             outcome?;
             let profiles: Vec<PdesPhaseProfile> =
                 reports.iter_mut().filter_map(|r| r.phases.take()).collect();
@@ -596,7 +596,6 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
         };
         let (events, seq_eps, seq_fp, _) = timed(1)?;
         let (par_events, par_eps, par_fp, par_phases) = timed(shards)?;
-        emu_core::engine::set_sim_threads(1);
         if events != par_events || seq_fp != par_fp {
             return Err(format!(
                 "{name}: sharded run diverged from sequential ({events} vs {par_events} events)"
@@ -644,9 +643,6 @@ fn cmd_pdes_speedup(p: &Parsed) -> Result<(), String> {
     })?;
 
     let legs = [stream_leg, chase_leg];
-    if phases {
-        emu_core::engine::set_phase_profile(false);
-    }
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!("sharded-scheduler speedup on {preset} ({shards} shards, {cores} host cores):");
     let mut min_speedup = f64::INFINITY;

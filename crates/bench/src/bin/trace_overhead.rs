@@ -1,21 +1,20 @@
 //! Microbench: telemetry must be zero-cost when disabled.
 //!
 //! The engine's instrumentation sites all funnel through one branch on
-//! an `Option<TraceRecorder>` (plus a single relaxed atomic load of the
-//! process-global config in `Engine::new`). This binary measures a
-//! STREAM run on the disabled path in two configurations — global
-//! config untouched vs explicitly armed *to the off state* — and
-//! asserts they agree within 2%. The two configurations execute
-//! identical work, so any persistent gap would mean the off path is
-//! doing something; a transient gap is machine noise, which is why a
-//! round that misses the budget is re-measured (up to three rounds)
-//! before the binary fails. It then runs with tracing fully enabled and
+//! an `Option<TraceRecorder>` (plus one read of the thread's run scope
+//! in `Engine::new`). This binary measures a STREAM run on the disabled
+//! path in two configurations — the default scope vs a scope entered
+//! with telemetry explicitly set *to the off state* — and asserts they
+//! agree within 2%. The two configurations execute identical work, so
+//! any persistent gap would mean the off path is doing something; a
+//! transient gap is machine noise, which is why a round that misses the
+//! budget is re-measured (up to three rounds) before the binary fails. It then runs with tracing fully enabled and
 //! reports that overhead informationally (the on path is allowed to
 //! cost something).
 //!
 //! Exits nonzero on failure; wired into CI's smoke job.
 
-use emu_core::trace::{self, TelemetryConfig};
+use emu_core::trace::{RunScope, TelemetryConfig};
 use membench::stream::{run_stream_emu, stream_checksum, EmuStreamConfig, StreamKernel};
 use std::time::Instant;
 
@@ -62,24 +61,22 @@ fn measure_round(sc: &EmuStreamConfig) -> (f64, f64, f64) {
     for i in 0..PAIRS_PER_ROUND {
         // Alternate which variant goes first: position in the pair has
         // its own small systematic cost, and alternation cancels it.
+        let run_armed_off = || {
+            RunScope::current()
+                .with_telemetry(TelemetryConfig::off())
+                .enter(|| timed_run(sc))
+        };
         let (a, b) = if i % 2 == 0 {
-            trace::clear_global();
             let a = timed_run(sc);
-            trace::set_global(TelemetryConfig::off());
-            let b = timed_run(sc);
-            (a, b)
+            (a, run_armed_off())
         } else {
-            trace::set_global(TelemetryConfig::off());
-            let b = timed_run(sc);
-            trace::clear_global();
-            let a = timed_run(sc);
-            (a, b)
+            let b = run_armed_off();
+            (timed_run(sc), b)
         };
         base = base.min(a);
         armed_off = armed_off.min(b);
         ratios.push(b / a);
     }
-    trace::clear_global();
     ratios.sort_by(|x, y| x.total_cmp(y));
     let median_delta = (ratios[ratios.len() / 2] - 1.0).abs();
     let min_delta = (base - armed_off).abs() / base.min(armed_off);
@@ -93,7 +90,6 @@ fn main() {
         sc.total_elems, sc.nthreads
     );
 
-    trace::clear_global();
     // Warm-up run (page faults, lazy allocation) outside the sample.
     let _ = timed_run(&sc);
 
@@ -117,15 +113,14 @@ fn main() {
     }
 
     // Informational: what tracing costs when it is actually on.
-    let guard = trace::GlobalTelemetryGuard::arm(TelemetryConfig {
+    let traced = RunScope::current().with_telemetry(TelemetryConfig {
         event_capacity: 1 << 16,
         timeline_bucket: Some(desim::time::Time::from_us(20)),
     });
     let mut on = f64::INFINITY;
     for _ in 0..3 {
-        on = on.min(timed_run(&sc));
+        on = on.min(traced.clone().enter(|| timed_run(&sc)));
     }
-    drop(guard);
     println!(
         "  tracing enabled: {:>7.2} ms  ({:+.1}% vs unarmed, informational)",
         on * 1e3,

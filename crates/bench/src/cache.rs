@@ -4,24 +4,14 @@
 //! and workload configuration, so a re-run of an unchanged campaign can
 //! serve each cell from [`runcache`] instead of re-simulating it. The
 //! memo layer is inert unless the cache is enabled (`EMU_CACHE=1` or
-//! `runcache::set_enabled`), and it steps aside whenever telemetry is
-//! armed — a traced, profiled, or report-collecting run must execute
-//! every point for its artifacts to mean anything.
+//! `runcache::set_enabled`), and it steps aside whenever the caller's
+//! run scope observes runs (see [`runcache::active`]).
 //!
 //! Keys hash the `Debug` rendering of the resolved configs, so the
 //! `EMU_QUICK` sizing, preset overrides, and seeds all flow into the
 //! digest; a knob flip is a different key, never a stale hit.
 
 use emu_core::fault::SimError;
-use emu_core::{engine, trace};
-
-/// Whether memoization may serve cells right now.
-pub fn active() -> bool {
-    runcache::enabled()
-        && !trace::collecting_reports()
-        && !trace::global().enabled()
-        && !engine::phase_profile()
-}
 
 fn digest(kind: &str, label: &str, parts: &[(&str, String)]) -> String {
     let mut k = runcache::Key::new(kind);
@@ -40,7 +30,7 @@ pub fn memo_str(
     parts: &[(&str, String)],
     f: impl FnOnce() -> Result<String, SimError>,
 ) -> Result<String, SimError> {
-    if !active() {
+    if !runcache::active() {
         return f();
     }
     let d = digest("figcell", label, parts);
@@ -67,7 +57,7 @@ pub fn memo_f64(
     parts: &[(&str, String)],
     f: impl FnOnce() -> Result<f64, SimError>,
 ) -> Result<f64, SimError> {
-    if !active() {
+    if !runcache::active() {
         return f();
     }
     let d = digest("figscalar", label, parts);

@@ -78,14 +78,14 @@ static SYNTH_POINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 /// "abandon the hung run, keep the campaign going" behaviour the paper's
 /// measurement campaign needed on the prototype.
 ///
-/// Telemetry: every attempt runs under the caller's sweep-point key
-/// (see [`emu_core::trace::with_run_key`]) with its own attempt number,
-/// and the point's outcome is *decided* when an attempt completes — so
-/// the process-global report collector keeps exactly the reports of the
-/// attempt that produced the row. A detached straggler that finishes
-/// after its point was abandoned is dropped, not exported: the `runs`
-/// array under `--report-json` matches the table's rows, in sweep
-/// order, at any `-j`.
+/// Telemetry: every attempt runs in the caller's run scope under the
+/// caller's sweep-point key (see [`emu_core::trace::with_run_key`]) with
+/// its own attempt number, and the point's outcome is *decided* when an
+/// attempt completes — so the caller's report collector keeps exactly
+/// the reports of the attempt that produced the row. A detached
+/// straggler that finishes after its point was abandoned is dropped,
+/// not exported: the `runs` array under `--report-json` matches the
+/// table's rows, in sweep order, at any `-j`.
 pub fn run_point<T, F>(policy: RunPolicy, f: F) -> PointOutcome<T>
 where
     T: Send + 'static,
@@ -101,8 +101,9 @@ where
     for attempt in 0..attempts {
         let (tx, rx) = mpsc::channel();
         let g = std::sync::Arc::clone(&f);
+        let scope = trace::RunScope::current();
         std::thread::spawn(move || {
-            let out = trace::with_run_key(point, attempt, || g());
+            let out = scope.enter(|| trace::with_run_key(point, attempt, || g()));
             // The receiver may have given up; a send error is fine.
             let _ = tx.send(out);
         });

@@ -223,12 +223,11 @@ pub fn write_artifact(label: &str, path: &Path, body: &str) {
 }
 
 /// Run a figure with telemetry plumbing: parses the shared
-/// `--report-json` / `--trace-out` / `--jsonl-out` flags, arms the
-/// process-global telemetry config and report collector while `f` runs,
+/// `--report-json` / `--trace-out` / `--jsonl-out` flags, runs `f` in a
+/// run scope with the requested telemetry and report collector armed,
 /// writes the requested artifacts, then emits the table exactly like
 /// [`emit_result`]. With no flags this is byte-for-byte the old
-/// behaviour (telemetry stays disarmed; the engine's off path is a
-/// single relaxed atomic load).
+/// behaviour (telemetry stays disarmed).
 pub fn run_figure(name: &str, f: impl FnOnce() -> Result<Table, emu_core::fault::SimError>) {
     let args = TelemetryArgs::parse(std::env::args().skip(1));
     run_figure_with(name, &args, f);
@@ -246,24 +245,17 @@ pub fn run_figure_with(
     if args.jobs > 0 {
         crate::runcfg::set_jobs(args.jobs);
     }
+    let mut scope = trace::RunScope::current().with_telemetry(args.config());
     if let Some(n) = args.resolved_sim_threads() {
-        emu_core::engine::set_sim_threads(n);
+        scope = scope.with_sim_threads(n);
     }
-    if args.any() {
+    let (table, runs) = scope.enter(|| {
+        if !args.any() {
+            return (f(), Vec::new());
+        }
         trace::collect_reports(true);
-    }
-    let _guard = args
-        .wants_trace()
-        .then(|| trace::GlobalTelemetryGuard::arm(args.config()));
-    let table = f();
-    drop(_guard);
-    let runs = if args.any() {
-        let r = trace::take_reports();
-        trace::collect_reports(false);
-        r
-    } else {
-        Vec::new()
-    };
+        (f(), trace::take_reports())
+    });
 
     if let Some(path) = &args.report_json {
         let body = crate::telemetry::report_set_json(name, table.as_ref().ok(), &runs);

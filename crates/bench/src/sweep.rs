@@ -14,10 +14,12 @@
 //!   runs it or when.
 //! * Results are placed by index, not arrival, so rows come back in
 //!   sweep order regardless of completion order.
-//! * Each point runs under a process-unique run key
-//!   ([`emu_core::trace::with_run_key`]), and the telemetry collector
-//!   sorts by that key at export — `--report-json` is byte-stable
-//!   across `-j` values.
+//! * Each point runs in the caller's run scope
+//!   ([`emu_core::trace::RunScope`]) under a process-unique run key
+//!   ([`emu_core::trace::with_run_key`]): reports land in the caller's
+//!   collector, which sorts by that key at export — `--report-json` is
+//!   byte-stable across `-j` values, and concurrent sweeps in one
+//!   process keep separate report sets.
 //!
 //! The worker count comes from [`crate::runcfg::jobs`] (the `--jobs`/
 //! `-j` flag, the `EMU_JOBS` variable, or the host's available
@@ -54,25 +56,29 @@ where
             .map(|i| trace::with_run_key(base + i as u64, 0, || f(i)))
             .collect();
     }
+    let scope = trace::RunScope::current();
     let cursor = AtomicUsize::new(0);
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    std::thread::scope(|threads| {
         let (tx, rx) = mpsc::channel::<(usize, T)>();
         for _ in 0..jobs {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = trace::with_run_key(base + i as u64, 0, || f(i));
-                // The receiver only disappears if the scope is already
-                // unwinding from another worker's panic.
-                if tx.send((i, v)).is_err() {
-                    break;
-                }
+            let run = scope.clone();
+            threads.spawn(move || {
+                run.enter(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let v = trace::with_run_key(base + i as u64, 0, || f(i));
+                    // The receiver only disappears if the thread scope is
+                    // already unwinding from another worker's panic.
+                    if tx.send((i, v)).is_err() {
+                        break;
+                    }
+                })
             });
         }
         drop(tx);

@@ -113,27 +113,6 @@ impl<T> Arena<T> {
         s.val.as_mut()
     }
 
-    /// Clone the arena through a per-entry fallible clone function,
-    /// preserving slot layout, generations, and the free list exactly:
-    /// an [`Idx`] valid in `self` is valid in the clone. Returns `None`
-    /// if `f` declines any live entry (engine snapshots use this to
-    /// bail out when some agent state cannot be forked).
-    pub fn try_clone_with(&self, mut f: impl FnMut(&T) -> Option<T>) -> Option<Arena<T>> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for s in &self.slots {
-            let val = match &s.val {
-                Some(v) => Some(f(v)?),
-                None => None,
-            };
-            slots.push(Slot { gen: s.gen, val });
-        }
-        Some(Arena {
-            slots,
-            free: self.free.clone(),
-            live: self.live,
-        })
-    }
-
     /// Remove and return the entry behind `idx`. The slot's generation
     /// advances and the slot joins the free list, so `idx` (and any
     /// copy of it) is dead from here on.
@@ -186,35 +165,6 @@ mod tests {
         assert_eq!(a.get(i), None, "stale handle must not alias the reuse");
         assert_eq!(a.get(j), Some(&2));
         assert!(a.slots.len() == 1, "no new slab growth on reuse");
-    }
-
-    #[test]
-    fn try_clone_with_preserves_layout_and_handles() {
-        let mut a = Arena::new();
-        let i = a.insert(10u32);
-        let j = a.insert(20u32);
-        let k = a.insert(30u32);
-        a.remove(j).unwrap();
-        let b = a.try_clone_with(|v| Some(*v)).expect("clone");
-        // Handles from the original resolve identically in the clone,
-        // including the stale one.
-        assert_eq!(b.get(i), Some(&10));
-        assert_eq!(b.get(j), None);
-        assert_eq!(b.get(k), Some(&30));
-        assert_eq!(b.len(), a.len());
-        // Free-list order carries over: the next insert reuses the same
-        // slot in both.
-        let mut a2 = a;
-        let mut b2 = b;
-        assert_eq!(a2.insert(99).slot(), b2.insert(99).slot());
-    }
-
-    #[test]
-    fn try_clone_with_fails_when_an_entry_declines() {
-        let mut a = Arena::new();
-        a.insert(1u32);
-        a.insert(2u32);
-        assert!(a.try_clone_with(|v| (*v != 2).then_some(*v)).is_none());
     }
 
     #[test]

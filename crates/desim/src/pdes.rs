@@ -9,11 +9,8 @@
 //! per-edge [`EdgeRings`] that are published at window end and drained
 //! after the next synchronization point.
 //!
-//! Three synchronization primitives live here, all engine-agnostic:
+//! Two primitives live here, both engine-agnostic:
 //!
-//! * [`SpinBarrier`] — a reusable sense-reversing barrier that spins
-//!   briefly and then *parks* on a condvar, so a straggling worker does
-//!   not cost a burning core on an oversubscribed host;
 //! * [`EdgeRings`] — one fixed-capacity lock-free SPSC ring per
 //!   (producer, consumer) worker pair with batched release-publish, so
 //!   the exchange path takes zero locks in the common case (a mutexed
@@ -22,9 +19,12 @@
 //!   single atomic round trip per window: every worker publishes its
 //!   window digest (event count, next timestamp, flag bits), bumps one
 //!   shared commitment counter, and reads back the identical global
-//!   digest. Windows in which nobody posted cross-shard mail can be
-//!   *fused* — committed through the gate alone, with no barrier and no
-//!   ring drain — which is the common all-local case.
+//!   digest. One crossing both decides the next window and separates
+//!   the last window's ring publishes from their drains, and windows in
+//!   which nobody posted cross-shard mail skip the drain entirely —
+//!   the common all-local case. Waiters spin briefly and then *park* on
+//!   a condvar, so a straggling worker does not cost a burning core on
+//!   an oversubscribed host.
 //!
 //! Determinism still comes from the *engine-side* discipline of keying
 //! every event with an intrinsic `(time, key)` pair (see
@@ -40,7 +40,7 @@ use std::sync::{Condvar, Mutex};
 /// Spin iterations before a waiter yields the CPU.
 const SPIN_FAST: u32 = 64;
 /// Total spin+yield iterations before a waiter parks in the kernel.
-/// A hot barrier crossing completes in well under this budget; only a
+/// A hot gate crossing completes in well under this budget; only a
 /// genuine straggler (preempted worker, oversubscribed host) pushes
 /// waiters past it.
 const SPIN_PARK: u32 = 4096;
@@ -50,93 +50,6 @@ const SPIN_PARK: u32 = 4096;
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Pad<T>(T);
-
-/// A reusable sense-reversing barrier for a fixed set of workers.
-///
-/// Epoch loops cross the barrier on every non-fused window, so parking
-/// in the kernel on every crossing would dominate short epochs.
-/// Arrivals spin briefly, then yield, then — past a bounded budget —
-/// park on a condvar until the leader releases the generation. The
-/// fast path (all workers hot) never touches the mutex; the slow path
-/// (one worker descheduled for milliseconds) costs the others a park
-/// instead of a pegged core each.
-///
-/// The barrier is reusable: sense reversal lets the same object carry
-/// every epoch of a run without re-initialization.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    parties: usize,
-    arrived: AtomicUsize,
-    /// Generation counter; waiters leave once it moves past theirs.
-    generation: AtomicUsize,
-    /// Parked-waiter rendezvous. The leader bumps `generation` while
-    /// holding the lock, so a waiter that checked the generation under
-    /// the same lock can never miss the notify.
-    lock: Mutex<()>,
-    cv: Condvar,
-    parks: AtomicU64,
-}
-
-impl SpinBarrier {
-    /// A barrier releasing once `parties` workers arrive.
-    ///
-    /// # Panics
-    /// Panics if `parties` is zero.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "a barrier needs at least one party");
-        SpinBarrier {
-            parties,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-            parks: AtomicU64::new(0),
-        }
-    }
-
-    /// Block until all parties have arrived. Returns `true` for exactly
-    /// one arrival per crossing (the last one in), mirroring
-    /// `std::sync::Barrier`'s leader flag.
-    pub fn wait(&self) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            // Leader: reset the arrival count, then release everyone by
-            // bumping the generation — under the lock, so a waiter that
-            // parked between its generation check and `Condvar::wait`
-            // is still caught by the notify.
-            self.arrived.store(0, Ordering::Relaxed);
-            let guard = self.lock.lock().expect("barrier lock poisoned");
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-            drop(guard);
-            self.cv.notify_all();
-            return true;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == gen {
-            spins += 1;
-            if spins < SPIN_FAST {
-                std::hint::spin_loop();
-            } else if spins < SPIN_PARK {
-                std::thread::yield_now();
-            } else {
-                self.parks.fetch_add(1, Ordering::Relaxed);
-                let mut guard = self.lock.lock().expect("barrier lock poisoned");
-                while self.generation.load(Ordering::Acquire) == gen {
-                    guard = self.cv.wait(guard).expect("barrier lock poisoned");
-                }
-                break;
-            }
-        }
-        false
-    }
-
-    /// How many waits fell through the spin budget and parked in the
-    /// kernel. Diagnostic only (relaxed counter).
-    pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
-    }
-}
 
 /// One single-producer single-consumer ring: the edge from one worker
 /// to another.
@@ -280,9 +193,8 @@ impl<M> std::fmt::Debug for SpscRing<M> {
 /// column *s* ([`drain_into`](EdgeRings::drain_into)); as long as each
 /// worker index is driven by one thread, every ring sees exactly one
 /// producer and one consumer and the whole exchange is lock-free off
-/// the spill path. A synchronization point ([`SpinBarrier`] or
-/// [`EpochGate`]) between publish and drain keeps delivery batched per
-/// window; the rings' own Release/Acquire pair carries the data.
+/// the spill path. A synchronization point (the [`EpochGate`]) between
+/// publish and drain keeps delivery batched per window; the rings' own Release/Acquire pair carries the data.
 #[derive(Debug)]
 pub struct EdgeRings<M> {
     workers: usize,
@@ -391,12 +303,12 @@ struct GateSlot {
     flags: AtomicU64,
 }
 
-/// A phased publish-and-aggregate point: the synchronization cost of a
-/// *fused* epoch window.
+/// A phased publish-and-aggregate point: the one synchronization an
+/// epoch window costs.
 ///
-/// Where a [`SpinBarrier`] costs two crossings per window (one to
-/// separate post from drain, one to agree on the next window), the gate
-/// costs a single shared `fetch_add` plus a bounded wait: each worker
+/// Where a barrier would cost two crossings per window (one to separate
+/// post from drain, one to agree on the next window), the gate costs a
+/// single shared `fetch_add` plus a bounded wait: each worker
 /// stores its window digest into its own slot, bumps the commitment
 /// counter, waits for the counter to reach `(round + 1) × workers`, and
 /// then reads all slots — every worker computes the identical
@@ -526,104 +438,7 @@ impl EpochGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
-
-    #[test]
-    fn barrier_releases_all_parties_with_one_leader() {
-        let barrier = SpinBarrier::new(4);
-        let leaders = AtomicU64::new(0);
-        let after = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                        after.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::Relaxed), 100);
-        assert_eq!(after.load(Ordering::Relaxed), 400);
-    }
-
-    #[test]
-    fn barrier_separates_phases() {
-        // Classic lockstep check: with a barrier between increments, no
-        // worker can be a full phase ahead of another.
-        let barrier = SpinBarrier::new(3);
-        let phase = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-        std::thread::scope(|s| {
-            for (me, p) in phase.iter().enumerate() {
-                let phase = &phase;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    for round in 0..50u64 {
-                        p.store(round + 1, Ordering::SeqCst);
-                        barrier.wait();
-                        for (other, q) in phase.iter().enumerate() {
-                            if other != me {
-                                let v = q.load(Ordering::SeqCst);
-                                assert!(
-                                    v == round + 1 || v == round + 2,
-                                    "worker {other} at phase {v} while {me} is at {}",
-                                    round + 1
-                                );
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn single_party_barrier_never_blocks() {
-        let b = SpinBarrier::new(1);
-        for _ in 0..10 {
-            assert!(b.wait());
-        }
-    }
-
-    #[test]
-    fn delayed_party_parks_instead_of_spin_pegging() {
-        // One party sleeps 10 ms before each crossing; the prompt party
-        // must fall through its spin budget and park rather than burn a
-        // core, and crossings must still count exactly once each.
-        let barrier = SpinBarrier::new(2);
-        let leaders = AtomicU64::new(0);
-        let crossings = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for delayed in [false, true] {
-                let barrier = &barrier;
-                let leaders = &leaders;
-                let crossings = &crossings;
-                s.spawn(move || {
-                    for _ in 0..3 {
-                        if delayed {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                        }
-                        crossings.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(leaders.load(Ordering::Relaxed), 3);
-        assert_eq!(crossings.load(Ordering::Relaxed), 6);
-        assert!(
-            barrier.parks() >= 1,
-            "a 10 ms straggler must push the waiter into the park path \
-             (parks = {})",
-            barrier.parks()
-        );
-    }
 
     #[test]
     fn ring_round_trips_one_batch() {
@@ -668,7 +483,7 @@ mod tests {
     #[test]
     fn edge_rings_route_all_pairs_across_threads() {
         let rings: EdgeRings<(usize, u64)> = EdgeRings::new(3, 4);
-        let barrier = SpinBarrier::new(3);
+        let barrier = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
             for me in 0..3usize {
                 let rings = &rings;

@@ -36,20 +36,20 @@ const WIDTH_SHIFT: u32 = 13;
 ///
 /// `E` carries whatever payload an engine needs (usually a thread id plus
 /// a small action tag). Events at equal times pop in insertion order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     backend: Backend<E>,
     seq: u64,
     now: Time,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Backend<E> {
     Heap(BinaryHeap<Reverse<Entry<E>>>),
     Calendar(Calendar<E>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry<E> {
     at: Time,
     seq: u64,
@@ -86,7 +86,7 @@ impl<E> Ord for Entry<E> {
 ///   *become* near-future; `advance` always consults the overflow top,
 ///   which keeps them correct without eager re-bucketing.
 /// * `cur_slot` never passes the slot of a pending event.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Calendar<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// Events of the current slot, descending by `(at, seq)`.

@@ -9,7 +9,8 @@
 //! overflow spill path is constantly hot.
 
 use desim::pdes::GATE_DIRTY;
-use desim::{EdgeRings, EpochGate, SpinBarrier};
+use desim::{EdgeRings, EpochGate};
+use std::sync::Barrier;
 use test_support::cases;
 
 /// One message: `(key, src, dst)` where `key` is globally unique so a
@@ -25,7 +26,7 @@ fn every_message_is_delivered_exactly_once_in_key_order() {
         // cases; larger ones exercise the pure ring path.
         let capacity = 1 << rng.gen_below(5); // 1..16 (min-clamped to 2)
         let rings: EdgeRings<Msg> = EdgeRings::new(workers, capacity);
-        let barrier = SpinBarrier::new(workers);
+        let barrier = Barrier::new(workers);
 
         // Pre-plan every worker's sends so expectations are computable
         // without cross-thread coordination: sends[w][window] is a list
@@ -100,7 +101,7 @@ fn overflow_spill_preserves_every_message_and_counts_them() {
     // past capacity. drain_into's return value is what the engine feeds
     // its mailbox depth high-water mark, so it must count ring + spill.
     let rings: EdgeRings<Msg> = EdgeRings::new(2, 2);
-    let barrier = SpinBarrier::new(2);
+    let barrier = Barrier::new(2);
     let counts: [std::sync::Mutex<Vec<usize>>; 2] = Default::default();
     let inboxes: [std::sync::Mutex<Vec<Msg>>; 2] = Default::default();
     const BURSTS: [usize; 3] = [7, 0, 13];

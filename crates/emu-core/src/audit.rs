@@ -286,7 +286,7 @@ pub fn audit(cfg: &MachineConfig, report: &RunReport) -> Vec<Violation> {
     // clean windows than windows; a run that never posted mail is all
     // clean; a run that posted any mail has at least one dirty window;
     // and every dirty window carries at least one posted event. All
-    // four hold for every scheduler (fused, two-sync, inline) because
+    // four hold for every scheduler (threaded, inline) because
     // cleanliness depends only on simulated content — the merged
     // fallback (epochs == 0) is exempt from the emptiness checks since
     // it never opens a window at all.

@@ -33,7 +33,9 @@
 //!   daemon's live `metrics` op, the Prometheus `/metrics` exporter,
 //!   and `simctl top`;
 //! * [`trace`] — optional structured event tracing (spawns, migrations,
-//!   NACKs, stalls with nodelet/thread/timestamp), zero-cost when off;
+//!   NACKs, stalls with nodelet/thread/timestamp), zero-cost when off,
+//!   and the caller-owned [`trace::RunScope`] every run consults for its
+//!   report sink, telemetry, phase profiling, and worker override;
 //! * [`json`] — dependency-free JSON serializers for [`metrics::RunReport`]
 //!   (report JSON, JSONL event logs, Chrome traces) plus a minimal
 //!   syntax validator, shared by the bench harness and the `simd`

@@ -219,11 +219,11 @@ pub struct PdesPhaseProfile {
     pub epochs: u64,
     /// Wall-clock duration of the whole epoch scheduler, in ns.
     pub wall_ns: u64,
-    /// Gate crossings the worker pool performed: one per window with
-    /// epoch fusion on, two with it off, zero for inline/merged runs.
+    /// Gate crossings the worker pool performed: one per window (plus
+    /// the final one that ends the run), zero for inline/merged runs.
     pub barrier_crossings: u64,
     /// Clean windows committed on the single-crossing fast path (zero
-    /// when fusion was off or the run was inline/merged).
+    /// when the run was inline/merged).
     pub fused_windows: u64,
     /// Worker-pool size the run-start merge planner chose (1 for
     /// inline and merged runs).

@@ -20,21 +20,22 @@
 //! Recording never touches simulated time, so enabling a trace cannot
 //! change the timing, counters, or checksum of a run.
 //!
-//! ## Process-global enablement
+//! ## Scoped enablement
 //!
 //! The benchmark runners construct their own engines internally; to
-//! trace them without threading a flag through every call signature,
-//! [`set_global`] arms a process-wide [`TelemetryConfig`] that
-//! [`crate::engine::Engine::new`] consults once at construction. Use
-//! [`GlobalTelemetryGuard`] to scope it.
+//! trace them without threading a flag through every call signature, a
+//! caller enters a [`RunScope`] carrying a [`TelemetryConfig`], which
+//! [`crate::engine::Engine::new`] consults once at construction. The
+//! same scope carries the report sink ([`collect_reports`]), so
+//! concurrent callers in one process stay isolated.
 
 use crate::addr::NodeletId;
 use crate::kernel::ThreadId;
 use crate::metrics::RunReport;
 use desim::time::Time;
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What happened. One variant per instrumented engine site; each maps
 /// 1:1 onto a [`crate::metrics::NodeletCounters`] field, so summing a
@@ -128,7 +129,7 @@ pub struct TraceEvent {
 }
 
 /// A bounded ring buffer of [`TraceEvent`]s with a drop count.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceRecorder {
     capacity: usize,
     events: VecDeque<TraceEvent>,
@@ -228,42 +229,14 @@ impl TelemetryConfig {
     }
 }
 
-// The process-global config is two atomics (not a lock) so the read in
-// `Engine::new` stays trivially cheap and panic-free.
-static GLOBAL_EVENT_CAP: AtomicUsize = AtomicUsize::new(0);
-static GLOBAL_BUCKET_PS: AtomicU64 = AtomicU64::new(0);
-
-/// Arm process-global telemetry: every [`crate::engine::Engine`]
-/// constructed afterwards collects per `cfg` until [`clear_global`].
-pub fn set_global(cfg: TelemetryConfig) {
-    GLOBAL_EVENT_CAP.store(cfg.event_capacity, Ordering::SeqCst);
-    GLOBAL_BUCKET_PS.store(cfg.timeline_bucket.map_or(0, |b| b.ps()), Ordering::SeqCst);
-}
-
-/// Disarm process-global telemetry.
-pub fn clear_global() {
-    set_global(TelemetryConfig::off());
-}
-
-/// The currently armed process-global telemetry config.
-pub fn global() -> TelemetryConfig {
-    let ps = GLOBAL_BUCKET_PS.load(Ordering::SeqCst);
-    TelemetryConfig {
-        event_capacity: GLOBAL_EVENT_CAP.load(Ordering::SeqCst),
-        timeline_bucket: (ps > 0).then_some(Time::from_ps(ps)),
-    }
-}
-
-// ---- report collection -------------------------------------------------
+// ---- the run scope ----------------------------------------------------
 //
-// The benchmark runners return *reductions* (bandwidths, checksums) and
-// drop the underlying [`RunReport`]s; armed collection lets the harness
-// capture every finished run's report for artifact export without
-// changing any runner signature. Off-path cost: one atomic load per
-// completed run (not per event).
-
-static COLLECT: AtomicBool = AtomicBool::new(false);
-static COLLECTED: Mutex<Collected> = Mutex::new(Collected::new());
+// Everything a run consults besides its own engine settings — where its
+// report goes, what telemetry to arm, whether to profile the epoch
+// scheduler, how many simulation workers to use — lives in one
+// caller-owned [`RunScope`] held in a thread-local. Sweep executors hand
+// the caller's scope to their workers, so two sweeps running at once in
+// one process never see each other's reports or settings.
 
 /// Point id of a run outside any keyed scope. Unkeyed runs sort after
 /// every keyed run, in completion order.
@@ -274,6 +247,7 @@ pub const UNKEYED: u64 = u64::MAX;
 /// run key (sweep-point id + retry attempt) of the thread that ran the
 /// engine, and [`take_reports`] sorts by `(point, seq)` — so `-j N`
 /// produces the same `runs` array as `-j 1`.
+#[derive(Debug, Default)]
 struct Collected {
     /// `(point, attempt, arrival seq, report)` per finished run.
     runs: Vec<(u64, u32, u64, RunReport)>,
@@ -287,14 +261,6 @@ struct Collected {
 }
 
 impl Collected {
-    const fn new() -> Self {
-        Collected {
-            runs: Vec::new(),
-            next_seq: 0,
-            accepted: Vec::new(),
-        }
-    }
-
     fn accepts(&self, point: u64, attempt: u32) -> bool {
         self.accepted
             .iter()
@@ -302,10 +268,111 @@ impl Collected {
     }
 }
 
+/// The run context of one thread: the report sink, the telemetry every
+/// new [`crate::engine::Engine`] arms, the phase-profile switch, an
+/// optional simulation-worker override, and the run key (which sweep
+/// point and retry attempt a run belongs to).
+///
+/// Scopes are owned by whoever starts the work. [`RunScope::current`]
+/// snapshots the calling thread's scope; [`RunScope::enter`] installs a
+/// scope on the calling thread for the length of a closure. Executors
+/// that fan work out to threads (`emu_bench::sweep::run_indexed`, the
+/// retry harness) enter the caller's scope on each worker, so reports
+/// land in the caller's sink and settings follow the work. A thread that
+/// never entered a scope runs with everything off and the process-wide
+/// [`crate::engine::set_sim_threads`] default.
+#[derive(Debug, Clone)]
+pub struct RunScope {
+    key: (u64, u32),
+    sink: Option<Arc<Mutex<Collected>>>,
+    telemetry: TelemetryConfig,
+    phase_profile: bool,
+    sim_threads: Option<usize>,
+}
+
 std::thread_local! {
-    /// Run key of the current thread: which sweep point (and which retry
-    /// attempt of it) any engine run on this thread belongs to.
-    static RUN_KEY: std::cell::Cell<(u64, u32)> = const { std::cell::Cell::new((UNKEYED, 0)) };
+    static SCOPE: RefCell<RunScope> = const { RefCell::new(RunScope::ROOT) };
+}
+
+impl RunScope {
+    /// Everything off, unkeyed.
+    const ROOT: RunScope = RunScope {
+        key: (UNKEYED, 0),
+        sink: None,
+        telemetry: TelemetryConfig {
+            event_capacity: 0,
+            timeline_bucket: None,
+        },
+        phase_profile: false,
+        sim_threads: None,
+    };
+
+    /// The calling thread's scope. Cheap: the report sink is shared, so
+    /// runs under the copy report to the same place.
+    pub fn current() -> RunScope {
+        SCOPE.with(|s| s.borrow().clone())
+    }
+
+    /// This scope with engines collecting telemetry per `cfg`.
+    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> Self {
+        self.telemetry = cfg;
+        self
+    }
+
+    /// This scope with wall-clock phase profiling of the epoch scheduler
+    /// on or off for every new engine (see
+    /// [`crate::engine::Engine::enable_phase_profile`]). Profiled reports
+    /// carry host timings and are therefore not byte-identical run to
+    /// run.
+    pub fn with_phase_profile(mut self, on: bool) -> Self {
+        self.phase_profile = on;
+        self
+    }
+
+    /// This scope with engines that did not call
+    /// [`crate::engine::Engine::set_sim_threads`] running on `n`
+    /// simulation workers (clamped to at least 1) instead of the process
+    /// default.
+    pub fn with_sim_threads(mut self, n: usize) -> Self {
+        self.sim_threads = Some(n.max(1));
+        self
+    }
+
+    /// Telemetry armed for new engines.
+    pub(crate) fn telemetry(&self) -> TelemetryConfig {
+        self.telemetry
+    }
+
+    /// Whether new engines profile their epoch scheduler.
+    pub(crate) fn phase_profile(&self) -> bool {
+        self.phase_profile
+    }
+
+    /// The simulation-worker override, if any.
+    pub(crate) fn sim_threads(&self) -> Option<usize> {
+        self.sim_threads
+    }
+
+    /// Whether runs in this scope are observed — reports collected,
+    /// telemetry armed, or phases profiled. Observed runs must execute,
+    /// never be served from a result cache.
+    pub fn observed(&self) -> bool {
+        self.sink.is_some() || self.telemetry.enabled() || self.phase_profile
+    }
+
+    /// Run `f` on this thread under this scope, then restore the
+    /// previous one (also when `f` panics).
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(RunScope);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let prev = std::mem::replace(&mut self.0, RunScope::ROOT);
+                SCOPE.with(|s| *s.borrow_mut() = prev);
+            }
+        }
+        let _restore = Restore(SCOPE.with(|s| s.replace(self)));
+        f()
+    }
 }
 
 /// Run `f` with this thread's run key set to `(point, attempt)`,
@@ -313,56 +380,64 @@ std::thread_local! {
 /// point in this so concurrent runs' reports can be re-ordered into
 /// sweep order at export.
 pub fn with_run_key<R>(point: u64, attempt: u32, f: impl FnOnce() -> R) -> R {
-    let prev = RUN_KEY.with(|k| k.replace((point, attempt)));
-    struct Restore((u64, u32));
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            RUN_KEY.with(|k| k.set(self.0));
-        }
-    }
-    let _restore = Restore(prev);
-    f()
+    let mut scope = RunScope::current();
+    scope.key = (point, attempt);
+    scope.enter(f)
 }
 
 /// The current thread's sweep-point id ([`UNKEYED`] outside any
 /// [`with_run_key`] scope).
 pub fn current_point() -> u64 {
-    RUN_KEY.with(|k| k.get().0)
+    SCOPE.with(|s| s.borrow().key.0)
 }
 
-/// Decide point `point`: keep only reports from `attempt`, drop the
-/// rest (already-collected and future — e.g. a detached straggler from
-/// a timed-out earlier attempt). `attempt = u32::MAX` abandons the
-/// point entirely.
+/// The calling thread's report sink, if collection is armed.
+fn sink() -> Option<Arc<Mutex<Collected>>> {
+    SCOPE.with(|s| s.borrow().sink.clone())
+}
+
+fn lock(sink: &Mutex<Collected>) -> std::sync::MutexGuard<'_, Collected> {
+    // A poisoned lock only means a panic mid-push; the data is still a
+    // valid state, so recover rather than propagate the panic.
+    sink.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Decide point `point` in the calling thread's report sink: keep only
+/// reports from `attempt`, drop the rest (already-collected and future —
+/// e.g. a detached straggler from a timed-out earlier attempt).
+/// `attempt = u32::MAX` abandons the point entirely.
 pub fn accept_attempt(point: u64, attempt: u32) {
     if point == UNKEYED {
         return;
     }
-    let mut c = collected();
-    c.runs.retain(|&(p, a, _, _)| p != point || a == attempt);
-    c.accepted.push((point, attempt));
-}
-
-/// Start (or stop) collecting a clone of every finished run's report.
-/// Starting clears anything previously collected, including decided
-/// points.
-pub fn collect_reports(on: bool) {
-    if on {
-        *collected() = Collected::new();
+    if let Some(sink) = sink() {
+        let mut c = lock(&sink);
+        c.runs.retain(|&(p, a, _, _)| p != point || a == attempt);
+        c.accepted.push((point, attempt));
     }
-    COLLECT.store(on, Ordering::SeqCst);
 }
 
-/// Whether report collection is armed.
+/// Start (or stop) collecting a clone of every report finished under the
+/// calling thread's scope, including runs on the workers it hands the
+/// scope to. Starting opens a fresh, empty sink.
+pub fn collect_reports(on: bool) {
+    let sink = on.then(|| Arc::new(Mutex::new(Collected::default())));
+    SCOPE.with(|s| s.borrow_mut().sink = sink);
+}
+
+/// Whether report collection is armed in the calling thread's scope.
 pub fn collecting_reports() -> bool {
-    COLLECT.load(Ordering::SeqCst)
+    SCOPE.with(|s| s.borrow().sink.is_some())
 }
 
-/// Take every report collected since [`collect_reports`]`(true)`, in
-/// deterministic sweep order: sorted by `(point, arrival)`, with
-/// unkeyed runs last in completion order.
+/// Take every report collected in the calling thread's scope since
+/// [`collect_reports`]`(true)`, in deterministic sweep order: sorted by
+/// `(point, arrival)`, with unkeyed runs last in completion order.
 pub fn take_reports() -> Vec<RunReport> {
-    let mut c = collected();
+    let Some(sink) = sink() else {
+        return Vec::new();
+    };
+    let mut c = lock(&sink);
     let mut runs = std::mem::take(&mut c.runs);
     c.next_seq = 0;
     drop(c);
@@ -370,42 +445,22 @@ pub fn take_reports() -> Vec<RunReport> {
     runs.into_iter().map(|(_, _, _, r)| r).collect()
 }
 
-fn collected() -> std::sync::MutexGuard<'static, Collected> {
-    // A poisoned lock only means a panic mid-push; the data is still a
-    // valid state, so recover rather than propagate the panic.
-    COLLECTED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Called by the engine when a run completes; a no-op unless armed.
+/// Called by the engine when a run completes; a no-op unless the
+/// running thread's scope collects reports.
 pub(crate) fn offer_report(report: &RunReport) {
-    if COLLECT.load(Ordering::Relaxed) {
-        let (point, attempt) = RUN_KEY.with(|k| k.get());
-        let mut c = collected();
+    let (key, sink) = SCOPE.with(|s| {
+        let s = s.borrow();
+        (s.key, s.sink.clone())
+    });
+    if let Some(sink) = sink {
+        let (point, attempt) = key;
+        let mut c = lock(&sink);
         if !c.accepts(point, attempt) {
             return;
         }
         let seq = c.next_seq;
         c.next_seq += 1;
         c.runs.push((point, attempt, seq, report.clone()));
-    }
-}
-
-/// RAII scope for the process-global config: arms on construction,
-/// clears on drop.
-#[derive(Debug)]
-pub struct GlobalTelemetryGuard(());
-
-impl GlobalTelemetryGuard {
-    /// Arm `cfg` globally until the guard drops.
-    pub fn arm(cfg: TelemetryConfig) -> Self {
-        set_global(cfg);
-        GlobalTelemetryGuard(())
-    }
-}
-
-impl Drop for GlobalTelemetryGuard {
-    fn drop(&mut self) {
-        clear_global();
     }
 }
 
@@ -461,19 +516,39 @@ mod tests {
     }
 
     #[test]
-    fn global_config_round_trips_and_guard_clears() {
-        assert_eq!(global(), TelemetryConfig::off());
-        {
-            let _g = GlobalTelemetryGuard::arm(TelemetryConfig {
-                event_capacity: 1024,
-                timeline_bucket: Some(Time::from_us(5)),
+    fn scope_settings_apply_inside_enter_only() {
+        let outer = RunScope::current();
+        assert!(!outer.observed());
+        let cfg = TelemetryConfig {
+            event_capacity: 1024,
+            timeline_bucket: Some(Time::from_us(5)),
+        };
+        let seen = RunScope::current()
+            .with_telemetry(cfg)
+            .with_sim_threads(0)
+            .enter(|| {
+                let s = RunScope::current();
+                (s.telemetry(), s.sim_threads(), s.observed())
             });
-            let got = global();
-            assert_eq!(got.event_capacity, 1024);
-            assert_eq!(got.timeline_bucket, Some(Time::from_us(5)));
-            assert!(got.enabled());
-        }
-        assert!(!global().enabled());
+        assert_eq!(seen, (cfg, Some(1), true));
+        assert!(!RunScope::current().observed());
+        assert_eq!(RunScope::current().sim_threads(), None);
+    }
+
+    #[test]
+    fn report_sinks_are_per_thread() {
+        collect_reports(true);
+        let other = std::thread::spawn(collecting_reports).join().unwrap();
+        assert!(collecting_reports());
+        assert!(!other, "a fresh thread must not inherit the sink");
+        // A worker handed the scope reports into the same sink.
+        let scope = RunScope::current();
+        let inherited = std::thread::spawn(move || scope.enter(collecting_reports))
+            .join()
+            .unwrap();
+        assert!(inherited);
+        collect_reports(false);
+        assert!(!collecting_reports());
     }
 
     #[test]

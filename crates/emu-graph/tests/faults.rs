@@ -5,7 +5,7 @@
 //! the full [`emu_core::audit`] pass.
 
 use emu_core::prelude::*;
-use emu_core::trace::{self, GlobalTelemetryGuard, TelemetryConfig};
+use emu_core::trace::{self, RunScope, TelemetryConfig};
 use emu_graph::bfs::{run_bfs_emu, BfsMode};
 use emu_graph::gen::uniform;
 use emu_graph::stinger::Stinger;
@@ -28,16 +28,15 @@ fn faulty_cfg() -> MachineConfig {
 
 /// Collect every engine report of `f` with lossless tracing enabled.
 fn traced_reports(f: impl FnOnce()) -> Vec<RunReport> {
-    let guard = GlobalTelemetryGuard::arm(TelemetryConfig {
+    let traced = RunScope::current().with_telemetry(TelemetryConfig {
         event_capacity: 1 << 20,
         timeline_bucket: None,
     });
-    trace::collect_reports(true);
-    f();
-    drop(guard);
-    let reports = trace::take_reports();
-    trace::collect_reports(false);
-    reports
+    traced.enter(|| {
+        trace::collect_reports(true);
+        f();
+        trace::take_reports()
+    })
 }
 
 #[test]

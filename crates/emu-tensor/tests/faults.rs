@@ -4,7 +4,7 @@
 //! the event trace.
 
 use emu_core::prelude::*;
-use emu_core::trace::GlobalTelemetryGuard;
+use emu_core::trace::RunScope;
 use emu_tensor::coo::{mttkrp_reference, random_tensor};
 use emu_tensor::emu::{run_mttkrp_emu, EmuMttkrpConfig, TensorLayout};
 use std::sync::Arc;
@@ -32,20 +32,23 @@ fn mttkrp_fault_counters_reconcile_with_trace() {
     let reference = mttkrp_reference(&t, rank);
 
     for layout in TensorLayout::ALL {
-        let _guard = GlobalTelemetryGuard::arm(TelemetryConfig {
+        let traced = RunScope::current().with_telemetry(TelemetryConfig {
             event_capacity: 1 << 20,
             timeline_bucket: None,
         });
-        let r = run_mttkrp_emu(
-            &cfg,
-            Arc::clone(&t),
-            &EmuMttkrpConfig {
-                layout,
-                rank,
-                nthreads: 24,
-            },
-        )
-        .unwrap();
+        let r = traced
+            .enter(|| {
+                run_mttkrp_emu(
+                    &cfg,
+                    Arc::clone(&t),
+                    &EmuMttkrpConfig {
+                        layout,
+                        rank,
+                        nthreads: 24,
+                    },
+                )
+            })
+            .unwrap();
 
         // Faults perturb timing, never results.
         for (i, (a, b)) in reference.iter().zip(&r.y).enumerate() {

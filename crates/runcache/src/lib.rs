@@ -357,6 +357,15 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Whether runs on the calling thread may be served from (or published
+/// to) the cache right now: the cache is [`enabled`] and the thread's
+/// run scope observes nothing — a traced, profiled, or
+/// report-collecting run must execute every point for its artifacts to
+/// mean anything.
+pub fn active() -> bool {
+    enabled() && !emu_core::trace::RunScope::current().observed()
+}
+
 fn dir_override() -> &'static Mutex<Option<PathBuf>> {
     static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
     DIR.get_or_init(|| Mutex::new(None))

@@ -23,8 +23,9 @@ use emu_core::config::MachineConfig;
 use emu_core::engine::Engine;
 use emu_core::json::report_json;
 use emu_core::metrics::RunReport;
+use emu_core::trace::RunScope;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything observed at one executed point.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,12 +62,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Serializes save/set/restore cycles of the process-global scheduler
-/// worker count during byte-identity fingerprinting. Plain runs do not
-/// take it: the PR 5 invariant (reports are byte-identical at any
-/// worker count) makes a concurrent temporary change harmless to them.
-static SIM_THREADS_LOCK: Mutex<()> = Mutex::new(());
-
 /// Workload-level results that are not in the machine report.
 #[derive(Default)]
 struct Extras {
@@ -80,15 +75,10 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
-/// Run the point's workload once under the current scheduler settings
-/// (`sim_override` pins the worker count for script runs, which build
-/// their own engine). Returns the run's reports; pushes functional and
-/// audit problems.
-fn exec_point(
-    p: &Point,
-    sim_override: Option<usize>,
-    problems: &mut Vec<String>,
-) -> (Vec<RunReport>, Extras) {
+/// Run the point's workload once under the calling thread's run scope
+/// (which sets the simulation worker count). Returns the run's reports;
+/// pushes functional and audit problems.
+fn exec_point(p: &Point, problems: &mut Vec<String>) -> (Vec<RunReport>, Extras) {
     let mut extras = Extras::default();
     let reports = match &p.workload {
         ResolvedWorkload::Stream(sc) => match membench::stream::run_stream_emu(&p.cfg, sc) {
@@ -205,9 +195,6 @@ fn exec_point(
         ResolvedWorkload::Script(threads) => {
             let run = || -> Result<RunReport, emu_core::fault::SimError> {
                 let mut e = Engine::new(p.cfg.clone())?;
-                if let Some(n) = sim_override {
-                    e.set_sim_threads(n);
-                }
                 conformance::fuzz::seed_case(
                     &mut e,
                     &FuzzCase {
@@ -319,16 +306,13 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
     let counts = wanted_sim_threads(s);
     let mut fingerprints = Vec::new();
     let (reports, extras) = if counts.is_empty() {
-        exec_point(p, None, &mut problems)
+        exec_point(p, &mut problems)
     } else {
-        let guard = SIM_THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let prev = emu_core::engine::sim_threads();
         let mut first = None;
         for &n in &counts {
-            emu_core::engine::set_sim_threads(n);
-            let (reports, extras) = exec_point(p, Some(n), &mut problems);
+            let (reports, extras) = RunScope::current()
+                .with_sim_threads(n)
+                .enter(|| exec_point(p, &mut problems));
             let fp = reports
                 .iter()
                 .map(|r| report_json(&s.name, r))
@@ -339,8 +323,6 @@ pub fn run_point(s: &Scenario, p: &Point) -> PointOutcome {
                 first = Some((reports, extras));
             }
         }
-        emu_core::engine::set_sim_threads(prev);
-        drop(guard);
         first.unwrap()
     };
 
@@ -651,16 +633,6 @@ impl PointOutcome {
     }
 }
 
-/// Whether scenario points may be served from the result cache: the
-/// cache must be on and no process-global telemetry armed (a traced or
-/// report-collecting run must execute every point).
-fn cache_active() -> bool {
-    runcache::enabled()
-        && !emu_core::trace::collecting_reports()
-        && !emu_core::trace::global().enabled()
-        && !emu_core::engine::phase_profile()
-}
-
 /// The scenario text hashed into cache keys: the canonical print of a
 /// copy whose machine-override and fault lines are stable-sorted by
 /// key. Reordering semantically order-free lines must not change the
@@ -681,7 +653,7 @@ pub fn digest_form(s: &Scenario) -> String {
 /// always re-evaluated over the (cached or fresh) outcomes. With the
 /// cache disabled this is exactly [`run_scenario`].
 pub fn run_scenario_cached(s: &Scenario) -> ScenarioOutcome {
-    if !cache_active() {
+    if !runcache::active() {
         return run_scenario(s);
     }
     let points = match crate::resolve::resolve(s) {

@@ -110,16 +110,6 @@ enum Plan {
     ScenarioPoint(Box<scenario::Scenario>, scenario::Point),
 }
 
-/// Whether daemon runs may be served from (or published to) the result
-/// cache right now: the cache must be enabled and no process-global
-/// telemetry armed.
-fn cache_active() -> bool {
-    runcache::enabled()
-        && !emu_core::trace::collecting_reports()
-        && !emu_core::trace::global().enabled()
-        && !emu_core::engine::phase_profile()
-}
-
 /// Everything the pool needs to cache one run: the content digest, a
 /// display label, and the self-contained re-run recipe consumed by
 /// `simctl cache verify`.
@@ -142,7 +132,7 @@ pub struct CachePlan {
 /// definition change lands on a new key. Event/deadline budgets are
 /// excluded: they do not alter the report of a run that completes.
 pub fn cache_plan(spec: &Spec) -> Option<CachePlan> {
-    if !cache_active() {
+    if !runcache::active() {
         return None;
     }
     match resolve(spec).ok()? {

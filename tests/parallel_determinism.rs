@@ -2,9 +2,11 @@
 //! figure CSVs and telemetry exports are byte-identical at `-j 1` and
 //! `-j 4`.
 //!
-//! One test function: the jobs knob, the report collector, and the
-//! `EMU_QUICK`/`EMU_RESULTS_DIR` environment are process-global, and
-//! tests within one binary share the process.
+//! One test function: the jobs knob and the `EMU_QUICK`/
+//! `EMU_RESULTS_DIR` environment are process-global, and tests within
+//! one binary share the process. The report collector is not: it lives
+//! in the calling thread's run scope, which the sweep executor hands to
+//! its workers.
 
 use emu_bench::output::Table;
 use emu_bench::{figures, runcfg, telemetry};

@@ -8,8 +8,7 @@
 //! * telemetry stays `None` on reports when it was never enabled.
 //!
 //! These tests use the engine-level `enable_trace` / `enable_timeline`
-//! API directly (not the process-global config), so they are safe under
-//! the parallel test runner.
+//! API directly (not a run scope's telemetry config).
 
 use desim::time::Time;
 use emu_bench::telemetry;
