@@ -304,6 +304,11 @@ pub mod cpu {
     /// Run pointer chasing on the CPU platform `cfg`. Lists are
     /// contiguous 16 B-element arrays at well-separated bases.
     pub fn run_chase_cpu(cfg: &CpuConfig, cc: &ChaseConfig) -> ChaseResult {
+        run_with_report(cfg, cc).0
+    }
+
+    /// [`run_chase_cpu`], also returning the platform report.
+    pub(crate) fn run_with_report(cfg: &CpuConfig, cc: &ChaseConfig) -> (ChaseResult, CpuReport) {
         let total = Arc::new(AtomicU64::new(0));
         let mut engine = CpuEngine::new(cfg.clone());
         let list_bytes = (cc.elems_per_list as u64 * ELEM_BYTES).next_power_of_two();
@@ -326,7 +331,7 @@ pub mod cpu {
             }));
         }
         let report = engine.run();
-        ChaseResult {
+        let result = ChaseResult {
             semantic_bytes: cc.semantic_bytes(),
             bandwidth: report.bandwidth_for(cc.semantic_bytes()),
             checksum: total.load(Ordering::Relaxed),
@@ -336,7 +341,8 @@ pub mod cpu {
             faults: emu_core::metrics::FaultTotals::default(),
             events: 0,
             report: None,
-        }
+        };
+        (result, report)
     }
 }
 
@@ -449,7 +455,7 @@ mod tests {
     }
 
     mod cpu_tests {
-        use super::super::cpu::run_chase_cpu;
+        use super::super::cpu::run_with_report;
         use super::super::*;
         use xeon_sim::config::sandy_bridge;
 
@@ -462,9 +468,10 @@ mod tests {
                 mode: ShuffleMode::FullBlock,
                 seed: 11,
             };
-            let r = run_chase_cpu(&sandy_bridge(), &cc);
+            let (r, report) = run_with_report(&sandy_bridge(), &cc);
             assert_eq!(r.checksum, cc.expected_checksum());
             assert_eq!(r.migrations, 0);
+            report.audit().unwrap();
         }
 
         #[test]
@@ -482,7 +489,9 @@ mod tests {
                     mode: ShuffleMode::FullBlock,
                     seed: 13,
                 };
-                run_chase_cpu(&cfg, &cc).bandwidth.mb_per_sec()
+                let (r, report) = run_with_report(&cfg, &cc);
+                report.audit().unwrap();
+                r.bandwidth.mb_per_sec()
             };
             let tiny = bw(1);
             let page = bw(512); // 512 x 16 B = 8 KiB = one DRAM page

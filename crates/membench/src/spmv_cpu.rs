@@ -331,6 +331,7 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-9, "{}: wrong result", strategy.name());
+        r.report.audit().unwrap();
         r
     }
 
@@ -348,16 +349,16 @@ mod tests {
         // here 2048 plays the "large grain" at test scale).
         let m = Arc::new(laplacian(LaplacianSpec::paper(100)));
         let bw = |grain| {
-            run_spmv_cpu(
+            let r = run_spmv_cpu(
                 &haswell(),
                 Arc::clone(&m),
                 &CpuSpmvConfig {
                     strategy: CpuStrategy::CilkSpawn { grain },
                     nthreads: 16,
                 },
-            )
-            .bandwidth
-            .mb_per_sec()
+            );
+            r.report.audit().unwrap();
+            r.bandwidth.mb_per_sec()
         };
         let small = bw(16);
         let large = bw(2048);
@@ -371,16 +372,16 @@ mod tests {
     fn mkl_like_is_at_least_as_fast_as_spawn() {
         let m = Arc::new(laplacian(LaplacianSpec::paper(40)));
         let run = |s| {
-            run_spmv_cpu(
+            let r = run_spmv_cpu(
                 &haswell(),
                 Arc::clone(&m),
                 &CpuSpmvConfig {
                     strategy: s,
                     nthreads: 16,
                 },
-            )
-            .bandwidth
-            .mb_per_sec()
+            );
+            r.report.audit().unwrap();
+            r.bandwidth.mb_per_sec()
         };
         let mkl = run(CpuStrategy::MklLike);
         let spawn = run(CpuStrategy::CilkSpawn { grain: 16 });

@@ -549,6 +549,7 @@ mod tests {
                 },
             );
             assert_eq!(r.checksum, stream_checksum(8192, StreamKernel::Add));
+            r.report.audit().unwrap();
         }
 
         #[test]
@@ -556,7 +557,7 @@ mod tests {
             let mk = |enabled: bool| {
                 let mut cfg = sandy_bridge();
                 cfg.prefetch.enabled = enabled;
-                run_stream_cpu(
+                let r = run_stream_cpu(
                     &cfg,
                     &CpuStreamConfig {
                         total_elems: 1 << 16,
@@ -564,9 +565,9 @@ mod tests {
                         kernel: StreamKernel::Add,
                         nt_stores: true,
                     },
-                )
-                .bandwidth
-                .gb_per_sec()
+                );
+                r.report.audit().unwrap();
+                r.bandwidth.gb_per_sec()
             };
             let with = mk(true);
             let without = mk(false);
@@ -579,7 +580,7 @@ mod tests {
         #[test]
         fn nt_stores_beat_rfo() {
             let mk = |nt: bool| {
-                run_stream_cpu(
+                let r = run_stream_cpu(
                     &sandy_bridge(),
                     &CpuStreamConfig {
                         total_elems: 1 << 16,
@@ -587,9 +588,9 @@ mod tests {
                         kernel: StreamKernel::Add,
                         nt_stores: nt,
                     },
-                )
-                .bandwidth
-                .gb_per_sec()
+                );
+                r.report.audit().unwrap();
+                r.bandwidth.gb_per_sec()
             };
             assert!(mk(true) > mk(false));
         }

@@ -4,6 +4,13 @@
 //! comparison depends on *real* capacity/conflict behaviour (blocks that
 //! fit in a level get their lines reused; bigger blocks thrash), so the
 //! tag arrays are simulated exactly rather than approximated.
+//!
+//! Each set is a slice of packed entries `line << 2 | dirty << 1 | valid`
+//! kept most-recent first: a hit moves its way to the front, an install
+//! takes the first invalid way or evicts the last (least recent) one.
+//! A way never becomes invalid again, so the valid ways are a prefix of
+//! the set and its order is exactly true LRU. An empty cache is all
+//! zeroes, so its tag array is allocated zeroed and paged in lazily.
 
 use crate::config::CacheGeometry;
 
@@ -30,22 +37,17 @@ impl Access {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of last touch (true LRU).
-    lru: u64,
-}
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
 
 /// A set-associative, write-back, write-allocate cache level.
 pub struct Cache {
-    ways: Vec<Way>, // sets x assoc, row-major by set
+    /// sets x assoc packed entries, row-major by set, each set
+    /// most-recent first (see the module doc).
+    tags: Vec<u64>,
     assoc: usize,
     sets: u64,
     line_shift: u32,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -65,11 +67,10 @@ impl Cache {
             "line size must be a power of two"
         );
         Cache {
-            ways: vec![Way::default(); (sets * geom.assoc as u64) as usize],
+            tags: vec![0; (sets * geom.assoc as u64) as usize],
             assoc: geom.assoc as usize,
             sets,
             line_shift: geom.line_bytes.trailing_zeros(),
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -81,26 +82,27 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
+    /// The set holding `addr`'s line, and the entry it has when valid
+    /// and clean.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = ((line >> self.line_shift) % self.sets) as usize;
-        set * self.assoc..(set + 1) * self.assoc
+    fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let line = addr >> self.line_shift;
+        debug_assert!(line < 1 << 62, "line index {line:#x} exceeds 62 bits");
+        let set = (line % self.sets) as usize;
+        (set * self.assoc..(set + 1) * self.assoc, line << 2 | VALID)
     }
 
     /// Probe without filling: true if the line holding `addr` is present
-    /// (touches LRU, sets dirty on writes).
+    /// (moves it to most recent, sets dirty on writes).
     pub fn probe(&mut self, addr: u64, write: bool) -> bool {
-        self.tick += 1;
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let range = self.set_range(line);
-        for w in &mut self.ways[range] {
-            if w.valid && w.tag == tag {
-                w.lru = self.tick;
-                w.dirty |= write;
-                self.hits += 1;
-                return true;
-            }
+        let (range, key) = self.locate(addr);
+        let set = &mut self.tags[range];
+        if let Some(way) = set.iter().position(|&e| e | DIRTY == key | DIRTY) {
+            let e = set[way] | (u64::from(write) * DIRTY);
+            set.copy_within(..way, 1);
+            set[0] = e;
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
         false
@@ -118,45 +120,29 @@ impl Cache {
     /// Install the line holding `addr` (no hit check — caller knows it
     /// missed). Returns the miss flavour.
     pub fn install(&mut self, addr: u64, dirty: bool) -> Access {
-        self.tick += 1;
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let line_shift = self.line_shift;
-        let tick = self.tick;
-        let range = self.set_range(line);
-        let set = &mut self.ways[range];
-        // Prefer an invalid way; otherwise evict true-LRU.
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| (w.valid, w.lru))
-            .map(|(i, _)| i)
-            .expect("nonzero associativity");
-        let w = &mut set[victim];
-        let result = if !w.valid {
+        debug_assert!(!self.contains(addr), "install of a resident line");
+        let (range, key) = self.locate(addr);
+        let set = &mut self.tags[range];
+        // The first invalid way, or the least recent one when full.
+        let way = set.iter().position(|&e| e == 0).unwrap_or(self.assoc - 1);
+        let victim = set[way];
+        set.copy_within(..way, 1);
+        set[0] = key | (u64::from(dirty) * DIRTY);
+        if victim == 0 {
             Access::Miss
-        } else if w.dirty {
+        } else if victim & DIRTY != 0 {
             Access::MissEvictDirty {
-                line: w.tag << line_shift,
+                line: victim >> 2 << self.line_shift,
             }
         } else {
             Access::MissEvictClean
-        };
-        *w = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: tick,
-        };
-        result
+        }
     }
 
     /// Whether the line holding `addr` is present (no LRU side effects).
     pub fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let tag = line >> self.line_shift;
-        let range = self.set_range(line);
-        self.ways[range].iter().any(|w| w.valid && w.tag == tag)
+        let (range, key) = self.locate(addr);
+        self.tags[range].iter().any(|&e| e | DIRTY == key | DIRTY)
     }
 
     /// (hits, misses) since construction.

@@ -185,18 +185,6 @@ pub fn haswell() -> CpuConfig {
         cores: 56,
         contexts: 112,
         clock: Clock::from_mhz(2200),
-        l1: CacheGeometry {
-            capacity: 32 << 10,
-            assoc: 8,
-            line_bytes: 64,
-            latency_cycles: 4,
-        },
-        l2: CacheGeometry {
-            capacity: 256 << 10,
-            assoc: 8,
-            line_bytes: 64,
-            latency_cycles: 12,
-        },
         // 4 x 35 MiB, modeled as one shared LLC (numactl --interleave).
         l3: CacheGeometry {
             capacity: 128 << 20,
@@ -217,12 +205,8 @@ pub fn haswell() -> CpuConfig {
             // Four-socket snoop/interleave latency.
             t_controller: Time::from_ns(90),
         },
-        prefetch: PrefetchConfig {
-            enabled: true,
-            trigger_streak: 3,
-            degree: 16,
-        },
-        store_miss_stall_cycles: 30,
+        // Per-core L1/L2, prefetcher and store stall as on Sandy Bridge.
+        ..sandy_bridge()
     }
 }
 

@@ -15,15 +15,24 @@ use desim::queue::EventQueue;
 use desim::server::FifoServer;
 use desim::time::Time;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Where a demand access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HitLevel {
-    L1,
-    L2,
-    L3,
-    InFlight,
-    Dram,
+/// Hasher for the in-flight map's line-index keys: one folded 64x64-bit
+/// multiply, deterministic and far cheaper than SipHash.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line keys hash as u64");
+    }
+    fn write_u64(&mut self, line: u64) {
+        let p = u128::from(line) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Aggregate counters for one run.
@@ -45,7 +54,8 @@ pub struct CpuCounters {
     pub nt_stores: u64,
     /// Dirty-line writebacks sent to DRAM.
     pub writebacks: u64,
-    /// Prefetch requests sent to DRAM.
+    /// Prefetch requests the streamers issued; those for lines already
+    /// in L3 never reach DRAM.
     pub prefetches: u64,
 }
 
@@ -74,6 +84,32 @@ impl CpuReport {
     pub fn dram_bytes(&self, line_bytes: u64) -> u64 {
         (self.dram.reads + self.dram.writes) * line_bytes
     }
+
+    /// Check the conservation laws between the counters; `Err` names
+    /// the first one broken.
+    pub fn audit(&self) -> Result<(), String> {
+        const LAWS: [&str; 6] = [
+            "row hits + row misses = DRAM reads + writes",
+            "demand loads <= DRAM reads <= demand loads + prefetches + stores",
+            "prefetch hits <= prefetches",
+            "writebacks <= DRAM writes",
+            "DRAM writes <= writebacks + NT stores",
+            "bus utilization in [0, 1]",
+        ];
+        let (c, d) = (&self.counters, &self.dram);
+        let holds = [
+            d.row_hits + d.row_misses == d.reads + d.writes,
+            (c.dram_loads..=c.dram_loads + c.prefetches + c.stores).contains(&d.reads),
+            c.prefetch_hits <= c.prefetches,
+            c.writebacks <= d.writes,
+            d.writes <= c.writebacks + c.nt_stores,
+            (0.0..=1.0).contains(&self.dram_bus_utilization),
+        ];
+        match holds.iter().position(|ok| !ok) {
+            Some(i) => Err(format!("{} broken: {self:?}", LAWS[i])),
+            None => Ok(()),
+        }
+    }
 }
 
 enum Event {
@@ -98,9 +134,9 @@ pub struct CpuEngine {
     l3: Cache,
     dram: Dram,
     prefetchers: Vec<Prefetcher>,
-    /// Lines requested from DRAM (prefetch or demand) that have not been
-    /// installed yet: line index -> fill time.
-    inflight: HashMap<u64, Time>,
+    /// Prefetched lines not yet used by a demand load: line index -> the
+    /// time their data arrives (their L3 tags are installed at issue).
+    inflight: HashMap<u64, Time, BuildHasherDefault<LineHasher>>,
     counters: CpuCounters,
     live: u64,
 }
@@ -124,7 +160,7 @@ impl CpuEngine {
             l3: Cache::new(cfg.l3),
             dram: Dram::new(cfg.dram, cfg.l1.line_bytes),
             prefetchers: (0..cores).map(|_| Prefetcher::new(cfg.prefetch)).collect(),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             counters: CpuCounters::default(),
             live: 0,
             cfg,
@@ -182,19 +218,11 @@ impl CpuEngine {
             }
             CpuOp::Load { addr, bytes } => {
                 self.assert_in_line(addr, bytes);
-                let (level, avail) = self.demand_load(core, addr, now);
-                let lat = match level {
-                    HitLevel::L1 => self.cfg.cycles(self.cfg.l1.latency_cycles),
-                    HitLevel::L2 => self.cfg.cycles(self.cfg.l2.latency_cycles),
-                    HitLevel::L3 | HitLevel::InFlight => {
-                        self.cfg.cycles(self.cfg.l3.latency_cycles)
-                    }
-                    HitLevel::Dram => self.cfg.cycles(self.cfg.l3.latency_cycles),
-                };
+                let (latency, avail) = self.demand_load(core, addr, now);
                 // Issue occupies the core for one cycle; the thread
                 // resumes when the data is back.
                 let grant = self.cores[core as usize].offer(now, self.cfg.cycles(1));
-                let done = avail.max(grant.done) + lat;
+                let done = avail.max(grant.done) + self.cfg.cycles(latency);
                 self.q.schedule(done, Event::Ready(tid));
             }
             CpuOp::Store { addr, bytes } => {
@@ -239,18 +267,19 @@ impl CpuEngine {
         );
     }
 
-    /// Resolve a demand load: returns the satisfying level and the time
-    /// the line is available at L1.
-    fn demand_load(&mut self, core: u32, addr: u64, now: Time) -> (HitLevel, Time) {
+    /// Resolve a demand load: returns the load-to-use latency in cycles of
+    /// the level that answered (L3's for an in-flight prefetch or DRAM)
+    /// and the time the line is available at L1.
+    fn demand_load(&mut self, core: u32, addr: u64, now: Time) -> (u32, Time) {
         let c = core as usize;
         if self.l1[c].probe(addr, false) {
             self.counters.l1_hits += 1;
-            return (HitLevel::L1, now);
+            return (self.cfg.l1.latency_cycles, now);
         }
         if self.l2[c].probe(addr, false) {
             self.counters.l2_hits += 1;
             self.fill_l1(c, addr, false);
-            return (HitLevel::L2, now);
+            return (self.cfg.l2.latency_cycles, now);
         }
         let line_bytes = self.cfg.l1.line_bytes as u64;
         let line_idx = addr / line_bytes;
@@ -266,12 +295,12 @@ impl CpuEngine {
                 self.train_and_prefetch(c, line_idx, now);
                 self.fill_l2(c, addr, false);
                 self.fill_l1(c, addr, false);
-                return (HitLevel::InFlight, fill.max(now));
+                return (self.cfg.l3.latency_cycles, fill.max(now));
             }
             self.counters.l3_hits += 1;
             self.fill_l2(c, addr, false);
             self.fill_l1(c, addr, false);
-            return (HitLevel::L3, now);
+            return (self.cfg.l3.latency_cycles, now);
         }
         // Miss everywhere. Any in-flight record for this line is stale
         // (the tag was evicted before the data was ever used).
@@ -281,7 +310,7 @@ impl CpuEngine {
         self.counters.dram_loads += 1;
         let fill = self.dram.request(now, addr, false);
         self.install_all(c, addr, false);
-        (HitLevel::Dram, fill)
+        (self.cfg.l3.latency_cycles, fill)
     }
 
     /// Feed the streamer one access and issue whatever it asks for.
@@ -302,9 +331,11 @@ impl CpuEngine {
         }
     }
 
-    /// Bound the in-flight map: entries whose fill time has passed are
-    /// either already resident in L3 (the tag check serves them) or were
-    /// evicted unused — both safe to forget.
+    /// Bound the in-flight map by dropping entries whose fill time has
+    /// passed. Forgetting them is not free of effect: a later demand hit
+    /// on a dropped line still in L3 counts as an `l3_hits`, not a
+    /// `prefetch_hits`, and does not retrain the streamer. Keep it byte
+    /// for byte; any change moves counts and timings of large runs.
     fn gc_inflight(&mut self, now: Time) {
         if self.inflight.len() > 1 << 18 {
             self.inflight.retain(|_, &mut fill| fill > now);
@@ -369,7 +400,9 @@ mod tests {
     fn run_ops(ops: Vec<CpuOp>) -> CpuReport {
         let mut e = CpuEngine::new(sandy_bridge());
         e.add_thread(Box::new(CpuScript::new(ops)));
-        e.run()
+        let r = e.run();
+        r.audit().unwrap();
+        r
     }
 
     #[test]
@@ -504,6 +537,48 @@ mod tests {
         }
         let r = run_ops(ops);
         assert!(r.counters.writebacks > 0, "{:?}", r.counters);
+    }
+
+    #[test]
+    fn audit_names_each_broken_law() {
+        let good = run_ops(
+            (0..256u64)
+                .map(|i| CpuOp::Load {
+                    addr: i * 64,
+                    bytes: 8,
+                })
+                .collect(),
+        );
+        type Tamper = (fn(&mut CpuReport), &'static str);
+        let tamper: [Tamper; 6] = [
+            (|r| r.dram.row_hits += 1, "row hits"),
+            (
+                |r| r.counters.dram_loads = r.dram.reads + 1,
+                "demand loads <=",
+            ),
+            (
+                |r| r.counters.prefetch_hits += r.counters.prefetches + 1,
+                "prefetch hits",
+            ),
+            (
+                |r| r.counters.writebacks = r.dram.writes + 1,
+                "writebacks <=",
+            ),
+            (
+                |r| {
+                    r.dram.writes += 1;
+                    r.dram.row_misses += 1;
+                },
+                "DRAM writes <=",
+            ),
+            (|r| r.dram_bus_utilization = 1.5, "bus utilization"),
+        ];
+        for (f, law) in tamper {
+            let mut r = good.clone();
+            f(&mut r);
+            let err = r.audit().unwrap_err();
+            assert!(err.starts_with(law), "{law}: {err}");
+        }
     }
 
     #[test]

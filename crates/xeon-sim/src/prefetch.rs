@@ -9,8 +9,10 @@
 //! what a shuffled pointer chase defeats (the paper's "prefetch engines
 //! are confounded").
 
+use std::ops::RangeInclusive;
+
 /// One tracked stream.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StreamEntry {
     last_line: u64,
     streak: u32,
@@ -42,16 +44,7 @@ impl Prefetcher {
             enabled: cfg.enabled,
             trigger_streak: cfg.trigger_streak,
             degree: cfg.degree,
-            entries: vec![
-                StreamEntry {
-                    last_line: 0,
-                    streak: 0,
-                    horizon: 0,
-                    lru: 0,
-                    valid: false,
-                };
-                STREAMS
-            ],
+            entries: vec![StreamEntry::default(); STREAMS],
             tick: 0,
             issued: 0,
         }
@@ -59,9 +52,10 @@ impl Prefetcher {
 
     /// Observe a demand miss on `line` (line index = addr / line_bytes).
     /// Returns the line indices to prefetch (possibly empty).
-    pub fn on_miss(&mut self, line: u64) -> Vec<u64> {
+    pub fn on_miss(&mut self, line: u64) -> RangeInclusive<u64> {
+        const NONE: RangeInclusive<u64> = RangeInclusive::new(1, 0);
         if !self.enabled {
-            return Vec::new();
+            return NONE;
         }
         self.tick += 1;
         let tick = self.tick;
@@ -77,14 +71,13 @@ impl Prefetcher {
             e.last_line = line;
             e.lru = tick;
             if e.streak < self.trigger_streak {
-                return Vec::new();
+                return NONE;
             }
             let target = line + self.degree as u64;
             let from = e.horizon.max(line) + 1;
-            let out: Vec<u64> = (from..=target).collect();
             e.horizon = target;
-            self.issued += out.len() as u64;
-            return out;
+            self.issued += (target + 1).saturating_sub(from);
+            return from..=target;
         }
         // Re-touch of the same line: refresh LRU, no new information.
         if let Some(e) = self
@@ -93,7 +86,7 @@ impl Prefetcher {
             .find(|e| e.valid && e.last_line == line)
         {
             e.lru = tick;
-            return Vec::new();
+            return NONE;
         }
         // Allocate a new stream over the LRU slot.
         let slot = self
@@ -108,7 +101,7 @@ impl Prefetcher {
             lru: tick,
             valid: true,
         };
-        Vec::new()
+        NONE
     }
 
     /// Total prefetch requests issued.
@@ -135,16 +128,16 @@ mod tests {
         let mut p = pf();
         assert!(p.on_miss(10).is_empty());
         let got = p.on_miss(11);
-        assert_eq!(got, vec![12, 13, 14, 15]);
+        assert_eq!(got, 12..=15);
     }
 
     #[test]
     fn advances_horizon_without_duplicates() {
         let mut p = pf();
         p.on_miss(10);
-        assert_eq!(p.on_miss(11), vec![12, 13, 14, 15]);
-        assert_eq!(p.on_miss(12), vec![16]);
-        assert_eq!(p.on_miss(13), vec![17]);
+        assert_eq!(p.on_miss(11), 12..=15);
+        assert_eq!(p.on_miss(12), 16..=16);
+        assert_eq!(p.on_miss(13), 17..=17);
         assert_eq!(p.issued(), 6);
     }
 
@@ -156,9 +149,9 @@ mod tests {
         assert!(p.on_miss(1000).is_empty());
         assert!(p.on_miss(9000).is_empty());
         let a = p.on_miss(1001);
-        assert_eq!(a, vec![1002, 1003, 1004, 1005], "stream A fires");
+        assert_eq!(a, 1002..=1005, "stream A fires");
         let b = p.on_miss(9001);
-        assert_eq!(b, vec![9002, 9003, 9004, 9005], "stream B fires");
+        assert_eq!(b, 9002..=9005, "stream B fires");
     }
 
     #[test]
@@ -177,7 +170,7 @@ mod tests {
                        // A far jump starts a NEW stream; the old one stays tracked but
                        // this new location must re-earn its streak.
         assert!(p.on_miss(500_000).is_empty());
-        assert_eq!(p.on_miss(500_001), vec![500_002, 500_003, 500_004, 500_005]);
+        assert_eq!(p.on_miss(500_001), 500_002..=500_005);
     }
 
     #[test]
@@ -211,6 +204,6 @@ mod tests {
             p.on_miss(s * 100_000);
         }
         // The most recent ones still fire.
-        assert!(p.on_miss(39 * 100_000 + 1).len() == 4);
+        assert_eq!(p.on_miss(39 * 100_000 + 1).count(), 4);
     }
 }

@@ -80,6 +80,152 @@ fn cache_lru_stack_property() {
     }
 }
 
+/// The tick-stamped true-LRU cache that `Cache` replaced: one `Way`
+/// per way with a timestamp of its last touch, victim = first invalid
+/// way, else the smallest stamp. Kept here as the reference model.
+mod reference {
+    use xeon_sim::cache::Access;
+
+    #[derive(Clone, Copy, Default)]
+    struct Way {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    pub struct TickCache {
+        ways: Vec<Way>,
+        assoc: usize,
+        sets: u64,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl TickCache {
+        pub fn new(assoc: u32, sets: u32) -> Self {
+            TickCache {
+                ways: vec![Way::default(); (assoc * sets) as usize],
+                assoc: assoc as usize,
+                sets: sets as u64,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set(&mut self, tag: u64) -> &mut [Way] {
+            let set = (tag % self.sets) as usize;
+            &mut self.ways[set * self.assoc..(set + 1) * self.assoc]
+        }
+
+        pub fn probe(&mut self, addr: u64, write: bool) -> bool {
+            self.tick += 1;
+            let (tag, tick) = (addr >> 6, self.tick);
+            if let Some(w) = self.set(tag).iter_mut().find(|w| w.valid && w.tag == tag) {
+                w.lru = tick;
+                w.dirty |= write;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            false
+        }
+
+        pub fn install(&mut self, addr: u64, dirty: bool) -> Access {
+            self.tick += 1;
+            let (tag, tick) = (addr >> 6, self.tick);
+            let set = self.set(tag);
+            let w = set.iter_mut().min_by_key(|w| (w.valid, w.lru)).unwrap();
+            let result = match (w.valid, w.dirty) {
+                (false, _) => Access::Miss,
+                (true, true) => Access::MissEvictDirty { line: w.tag << 6 },
+                (true, false) => Access::MissEvictClean,
+            };
+            *w = Way {
+                tag,
+                valid: true,
+                dirty,
+                lru: tick,
+            };
+            result
+        }
+
+        pub fn access(&mut self, addr: u64, write: bool) -> Access {
+            if self.probe(addr, write) {
+                return Access::Hit;
+            }
+            self.install(addr, write)
+        }
+
+        pub fn contains(&self, addr: u64) -> bool {
+            let set = ((addr >> 6) % self.sets) as usize;
+            self.ways[set * self.assoc..(set + 1) * self.assoc]
+                .iter()
+                .any(|w| w.valid && w.tag == addr >> 6)
+        }
+
+        pub fn stats(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+    }
+}
+
+/// The recency-ordered packed cache makes exactly the choices of the
+/// tick-stamped reference: same hits, same victims, same dirty
+/// writebacks, same contents, at every associativity from 1 to 20 and
+/// at set counts that are not powers of two. `install` is only called
+/// on a line that is absent, as its contract requires.
+#[test]
+fn cache_matches_tick_lru_reference() {
+    cases(CASES, 0xD1FF, |case, rng| {
+        let assoc = (case % 20) as u32 + 1;
+        let sets = [1u32, 3, 5, 6, 7, 12, 20][rng.gen_range(0..7usize)] * rng.gen_range(1..4u32);
+        let mut c = Cache::new(tiny_geom(assoc, sets));
+        let mut r = reference::TickCache::new(assoc, sets);
+        // A footprint of about twice the capacity: hits, clean and dirty
+        // evictions all occur, at byte offsets inside the lines.
+        let lines = 2 * (assoc * sets) as u64 + 1;
+        for step in 0..rng.gen_range(200..2000usize) {
+            let addr = rng.gen_range(0..lines) * 64 + rng.gen_range(0..64u64);
+            let write = rng.gen_range(0..3u32) == 0;
+            match rng.gen_range(0..3u32) {
+                0 => assert_eq!(c.probe(addr, write), r.probe(addr, write), "step {step}"),
+                1 if !r.contains(addr) => {
+                    assert_eq!(
+                        c.install(addr, write),
+                        r.install(addr, write),
+                        "step {step}"
+                    )
+                }
+                _ => assert_eq!(c.access(addr, write), r.access(addr, write), "step {step}"),
+            }
+            let probe = rng.gen_range(0..lines) * 64;
+            assert_eq!(c.contains(probe), r.contains(probe), "step {step}");
+            assert_eq!(c.stats(), r.stats(), "step {step}");
+        }
+        for line in 0..lines {
+            assert_eq!(c.contains(line * 64), r.contains(line * 64), "line {line}");
+        }
+    });
+}
+
+/// The packed entry keeps two flag bits beside the line index, so a
+/// line index must fit in 62 bits; only lines under 4 bytes can exceed it.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "exceeds 62 bits")]
+fn cache_rejects_line_index_beyond_62_bits() {
+    let geom = CacheGeometry {
+        capacity: 6,
+        assoc: 2,
+        line_bytes: 1,
+        latency_cycles: 1,
+    };
+    Cache::new(geom).probe(u64::MAX, false);
+}
+
 /// DRAM request completion is monotone when arrivals are monotone,
 /// and row stats partition the accesses.
 #[test]
@@ -130,6 +276,7 @@ fn cpu_engine_levels_partition() {
         let loads = ops.iter().filter(|&&(_, k)| k == 0).count() as u64;
         e.add_thread(Box::new(CpuScript::new(script)));
         let r = e.run();
+        r.audit().unwrap();
         let c = &r.counters;
         assert_eq!(
             c.l1_hits + c.l2_hits + c.l3_hits + c.prefetch_hits + c.dram_loads,
