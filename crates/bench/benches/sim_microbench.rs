@@ -6,12 +6,12 @@
 //! Flags:
 //!
 //! * `--json PATH` — also write the machine-readable `BENCH_sim.json`
-//!   (scheduler throughput, engine events/sec, quick-mode `all_figures`
-//!   wall time at `-j 1` vs `-j N`) for CI artifact upload.
+//!   (scheduler throughput, engine events/sec, quick-mode `simctl fig
+//!   all` wall time at `--jobs 1` vs `--jobs N`) for CI artifact upload.
 //! * `--gate` — exit nonzero if the calendar-queue scheduler is slower
 //!   than the binary-heap baseline (ratio threshold from
 //!   `EMU_PERF_GATE_RATIO`, default 0.95).
-//! * `--skip-figures` — skip the quick-mode `all_figures` timing (the
+//! * `--skip-figures` — skip the quick-mode `fig all` timing (the
 //!   slowest section; the queue gate does not need it).
 
 use emu_core::prelude::*;
@@ -67,32 +67,18 @@ fn queue_workload(mut q: desim::EventQueue<u64>) -> u64 {
     sum
 }
 
-/// Run every figure once, quick mode, at the given job count; returns
-/// wall-clock seconds. Mirrors `all_figures` minus the CSV/IO.
-type FigureFn = fn() -> Result<emu_bench::output::Table, SimError>;
-
+/// Run every paper table once, quick mode, at the given job count;
+/// returns wall-clock seconds. Mirrors `simctl fig all` minus the
+/// CSV/IO.
 fn all_figures_quick(jobs: usize) -> f64 {
-    use emu_bench::figures as f;
     emu_bench::runcfg::set_jobs(jobs);
     let t0 = Instant::now();
-    let figs: [(&str, FigureFn); 10] = [
-        ("fig04", f::fig04),
-        ("fig05", f::fig05),
-        ("fig06", f::fig06),
-        ("fig07", f::fig07),
-        ("fig08", f::fig08),
-        ("fig09a", f::fig09a),
-        ("fig09b", f::fig09b),
-        ("fig10", f::fig10),
-        ("fig11", f::fig11),
-        ("headline", f::headline),
-    ];
-    for (name, fig) in figs {
+    for &(name, fig) in emu_bench::figures::paper() {
         fig().unwrap_or_else(|e| panic!("{name} failed: {e}"));
     }
     let dt = t0.elapsed().as_secs_f64();
     emu_bench::runcfg::set_jobs(0);
-    println!("all_figures quick -j {jobs:<26} {dt:>9.2} s");
+    println!("fig all quick --jobs {jobs:<26} {dt:>9.2} s");
     dt
 }
 

@@ -12,6 +12,17 @@ use membench::stream::{run_stream_emu, EmuStreamConfig};
 use spmat::{laplacian, LaplacianSpec};
 use std::sync::Arc;
 
+/// Every ablation table `simctl ablations` runs, by CSV stem.
+pub const ALL: &[(&str, crate::figures::FigureFn)] = &[
+    ("ablation_grain", ablation_grain),
+    ("ablation_migration_rate", ablation_migration_rate),
+    ("ablation_spawn_ramp", ablation_spawn_ramp),
+    ("ablation_stack_touch", ablation_stack_touch),
+    ("ablation_cpu_features", ablation_cpu_features),
+    ("ablation_full_speed_path", ablation_full_speed_path),
+    ("gups_compare", gups_compare),
+];
+
 /// Grain-size sweep on both platforms: the paper's observation that the
 /// Emu prefers tiny grains (16 nnz) while the Xeon prefers huge ones
 /// (16384 nnz).

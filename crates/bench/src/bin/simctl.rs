@@ -1,12 +1,16 @@
-//! `simctl` — interactive driver for the Emu Chick reproduction.
+//! `simctl` — the one command-line entry point of the Emu Chick
+//! reproduction: paper tables, calibration gate, diagnostics, and any
+//! benchmark on any machine preset.
 //!
 //! ```sh
+//! cargo run --release --bin simctl -- fig fig05
 //! cargo run --release --bin simctl -- stream --threads 512
 //! cargo run --release --bin simctl -- chase --platform xeon --block 512
-//! cargo run --release --bin simctl -- bfs --scale 12 --mode smart
 //! ```
 
 use emu_bench::cli::{self, Parsed};
+use emu_bench::figures::FigureFn;
+use emu_bench::{ablations, extensions, figcmd, inspect, output, overhead, validate};
 use emu_core::prelude::*;
 use std::sync::Arc;
 
@@ -44,43 +48,85 @@ fn run(args: &[String]) -> Result<(), String> {
     if args[0] == "cache" {
         std::process::exit(emu_bench::cachecmd::dispatch(&args[1..]));
     }
+    // `fig <name>`: the figure name takes the command slot of the rest.
+    let fig = args[0] == "fig";
+    let args = if fig { &args[1..] } else { args };
+    if fig && args.first().is_none_or(|a| a.starts_with("--")) {
+        return Err("fig needs a figure name or `all` first".into());
+    }
     let mut p = cli::parse(args)?;
-    // `--jobs` is accepted by every command (sweep worker threads; single
-    // runs just ignore the pool size). Applied before dispatch so any
-    // sweep the command triggers sees it.
-    if let Some(v) = p.options.remove("jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("--jobs: cannot parse {v:?}"))?;
-        emu_bench::runcfg::set_jobs(n);
-    }
-    // `--sim-threads` is likewise global: every engine the command
-    // constructs shards its scheduler across N workers. Deterministic —
-    // the knob only changes speed, never results.
-    if let Some(v) = p.options.remove("sim-threads") {
-        let n: usize = if v == "auto" {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            (cores / emu_bench::runcfg::jobs()).max(1)
-        } else {
-            v.parse()
-                .map_err(|_| format!("--sim-threads: cannot parse {v:?} (want a count or auto)"))?
-        };
-        emu_core::engine::set_sim_threads(n.max(1));
-    }
+    // `--jobs` and `--sim-threads` are accepted by every command parsed
+    // here and settled before dispatch so every run the command makes
+    // sees them.
+    let scope = p.take_run_scope()?;
+    scope.enter(|| if fig { figcmd::run(&p) } else { dispatch(&p) })
+}
+
+fn dispatch(p: &Parsed) -> Result<(), String> {
     match p.command.as_str() {
         "presets" => cmd_presets(),
-        "stream" => cmd_stream(&p),
-        "chase" => cmd_chase(&p),
-        "spmv" => cmd_spmv(&p),
-        "pingpong" => cmd_pingpong(&p),
-        "gups" => cmd_gups(&p),
-        "bfs" => cmd_bfs(&p),
-        "mttkrp" => cmd_mttkrp(&p),
-        "trace" => cmd_trace(&p),
-        "fuzz" => cmd_fuzz(&p),
-        "pdes-speedup" => cmd_pdes_speedup(&p),
+        "validate" => cmd_validate(p),
+        "ablations" => emit_each(p, ablations::ALL),
+        "extensions" => emit_each(p, extensions::ALL),
+        "breakdown" => emit_each(p, &[("breakdown", inspect::breakdown)]),
+        "timeline" => {
+            p.check_known(&[])?;
+            if let Err(e) = inspect::timeline() {
+                eprintln!("[timeline] simulation failed: {e}");
+                std::process::exit(2);
+            }
+            Ok(())
+        }
+        "overhead" => {
+            p.check_known(&[])?;
+            if !overhead::run() {
+                eprintln!("overhead: a 2% gate failed");
+                std::process::exit(1);
+            }
+            Ok(())
+        }
+        "stream" => cmd_stream(p),
+        "chase" => cmd_chase(p),
+        "spmv" => cmd_spmv(p),
+        "pingpong" => cmd_pingpong(p),
+        "gups" => cmd_gups(p),
+        "bfs" => cmd_bfs(p),
+        "mttkrp" => cmd_mttkrp(p),
+        "trace" => cmd_trace(p),
+        "fuzz" => cmd_fuzz(p),
+        "pdes-speedup" => cmd_pdes_speedup(p),
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// Print and write every table in `tables`; a failed simulation exits 2.
+fn emit_each(p: &Parsed, tables: &[(&str, FigureFn)]) -> Result<(), String> {
+    p.check_known(&[])?;
+    for &(name, f) in tables {
+        output::emit_result(name, f());
+    }
+    Ok(())
+}
+
+/// Calibration gate: exit 0 iff every paper anchor band passes, 1 on a
+/// FAIL, 2 if a simulation fails.
+fn cmd_validate(p: &Parsed) -> Result<(), String> {
+    p.check_known(&[])?;
+    let checks = match validate::run_all() {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("validation aborted: simulation failed: {e}");
+            std::process::exit(2);
+        }
+    };
+    let (table, ok) = validate::render(&checks);
+    table.emit("validate");
+    if !ok {
+        eprintln!("validation FAILED");
+        std::process::exit(1);
+    }
+    println!("all {} checks PASS", checks.len());
+    Ok(())
 }
 
 fn cmd_presets() -> Result<(), String> {

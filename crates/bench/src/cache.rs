@@ -79,7 +79,7 @@ pub fn memo_f64(
     Ok(v)
 }
 
-/// One-line session summary, printed by `all_figures` when the cache is
+/// One-line session summary, printed by `simctl fig all` when the cache is
 /// enabled so CI (and humans) can see a warm run re-simulated nothing.
 pub fn session_summary() -> String {
     let s = runcache::session_stats();

@@ -8,6 +8,7 @@
 //! tested; the heavy lifting lives in the benchmark crates.
 
 use emu_core::prelude::*;
+use emu_core::trace::RunScope;
 use std::collections::BTreeMap;
 
 /// A parsed command line: a command word plus `--key value` options.
@@ -66,6 +67,33 @@ impl Parsed {
             .unwrap_or_else(|| default.to_string())
     }
 
+    /// Take the options every command accepts out of the option map and
+    /// return the scope the command runs in. `--jobs N` sets the sweep
+    /// worker count (0 = host parallelism); `--sim-threads N|auto` shards
+    /// every engine run's scheduler, `auto` splitting host cores across
+    /// the sweep workers. Results are byte-identical at any value of
+    /// either.
+    pub fn take_run_scope(&mut self) -> Result<RunScope, String> {
+        if let Some(v) = self.options.remove("jobs") {
+            let n = v
+                .parse()
+                .map_err(|_| format!("--jobs: cannot parse {v:?}"))?;
+            crate::runcfg::set_jobs(n);
+        }
+        let scope = RunScope::current();
+        let Some(v) = self.options.remove("sim-threads") else {
+            return Ok(scope);
+        };
+        let n = if v == "auto" {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            (cores / crate::runcfg::jobs()).max(1)
+        } else {
+            v.parse()
+                .map_err(|_| format!("--sim-threads: cannot parse {v:?} (want a count or auto)"))?
+        };
+        Ok(scope.with_sim_threads(n))
+    }
+
     /// Reject options outside `allowed` (typo protection).
     pub fn check_known(&self, allowed: &[&str]) -> Result<(), String> {
         for k in self.options.keys() {
@@ -122,8 +150,24 @@ pub const USAGE: &str = "\
 simctl — run any benchmark of the Emu Chick reproduction
 
 USAGE: simctl <command> [--option value]...
+       simctl fig <name>|all [--option value]...
 
 COMMANDS
+  fig       paper tables          <name>|all  (names: fig04 fig05 fig06
+                                  fig07 fig08 fig09a fig09b fig10 fig11
+                                  headline fig_degradation)
+            (prints the table and writes results/<name>.csv; `all`
+            runs fig04..fig11 and headline in order. One named table
+            also takes --report-json F --trace-out F --jsonl-out F
+            --trace-events 16384 --trace-bucket-us 20)
+  validate  calibration gate: every paper anchor band (exit 0 iff all
+            pass, 1 on a FAIL, 2 if a simulation fails; run full size)
+  ablations   design-choice ablation tables (ablation_*.csv)
+  extensions  extension experiments (ext_*.csv)
+  breakdown threadlet time split: compute/memory/migration/stores/spawn
+  timeline  per-nodelet occupancy sparklines (STREAM spawn, chase)
+  overhead  2% gates: always-on metrics registry on vs off, and
+            disabled telemetry vs an armed-off scope (exit 1 on a miss)
   stream    STREAM kernels        --preset chick --threads 512 --elems 262144
                                   --strategy recursive-remote --kernel add
                                   --single-nodelet false
@@ -177,15 +221,15 @@ COMMANDS
             --addr H:P --interval MS --once --count N
   help      this text
 
-GLOBAL OPTIONS
-  --jobs N  worker threads for parameter sweeps (also: EMU_JOBS; the
-            figure binaries and all_figures take --jobs/-j N too).
+GLOBAL OPTIONS (every command except scenario, cache and the daemon
+commands serve/client/simd-once/simd-bench/top; `scenario run` takes
+its own --jobs)
+  --jobs N  worker threads for parameter sweeps (default: host cores).
             Results are identical at any job count.
   --sim-threads N|auto
             shards the event scheduler of every simulated run across N
-            worker threads (also: EMU_SIM_THREADS; the figure binaries
-            take it too). `auto` splits host cores across --jobs.
-            Results are byte-identical at any value.
+            worker threads (default 1). `auto` splits host cores across
+            --jobs. Results are byte-identical at any value.
 
 Every command prints bandwidth/throughput plus the migration counters
 relevant to the Emu execution model. `trace` additionally writes a
@@ -230,6 +274,61 @@ mod tests {
         assert!(p.check_known(&["threads"]).is_err());
         let p = parse(&argv("stream --threads 4")).unwrap();
         assert!(p.check_known(&["threads"]).is_ok());
+    }
+
+    #[test]
+    fn figure_flags_reject_what_the_old_figure_parser_dropped() {
+        let fig = |s: &str| {
+            let mut p = parse(&argv(s))?;
+            p.take_run_scope()?;
+            p.check_known(crate::figcmd::OPTIONS)
+        };
+        assert!(fig("fig04 --job 4").is_err());
+        assert!(fig("fig04 --jobs lots").is_err());
+        assert!(fig("fig04 --sim-threads lots").is_err());
+        assert!(fig("fig04 -j 4").is_err());
+        assert!(fig("all --quick").is_err());
+        assert!(fig("fig04 --sim-threads 2 --report-json r.json").is_ok());
+        assert!(fig("fig04 --sim-threads auto").is_ok());
+    }
+
+    /// Simulation workers an engine runs on inside `scope`, read from its
+    /// phase profile. Merging is off so the requested count is honoured
+    /// exactly, whatever the host's core count.
+    fn workers_in(scope: RunScope) -> u64 {
+        use emu_core::prelude::*;
+        scope.enter(|| {
+            let mut e = Engine::new(presets::chick_prototype()).unwrap();
+            e.enable_merge(false);
+            e.enable_phase_profile(true);
+            let load = Op::Load {
+                addr: GlobalAddr::new(NodeletId(7), 0),
+                bytes: 8,
+            };
+            e.spawn_at(NodeletId(0), Box::new(ScriptKernel::new(vec![load])))
+                .unwrap();
+            e.run().unwrap().phases.unwrap().merge_groups
+        })
+    }
+
+    #[test]
+    fn run_scope_carries_the_parsed_jobs_and_sim_threads() {
+        let _g = crate::runcfg::JOBS_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let scope = |s: &str| parse(&argv(s)).unwrap().take_run_scope().unwrap();
+
+        let s = scope("fig04 --jobs 3 --sim-threads 4");
+        assert_eq!(crate::runcfg::jobs(), 3);
+        assert_eq!(workers_in(s), 4);
+
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let s = scope(&format!("fig04 --jobs {} --sim-threads auto", cores + 1));
+        assert_eq!(crate::runcfg::jobs(), cores + 1);
+        assert_eq!(workers_in(s), 1);
+
+        crate::runcfg::set_jobs(0);
+        assert_eq!(workers_in(scope("fig04")), 1);
     }
 
     #[test]

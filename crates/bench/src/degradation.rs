@@ -121,7 +121,7 @@ fn plan_points() -> Vec<Point> {
 }
 
 /// Run the full degradation sweep on the bounded worker pool in
-/// [`crate::sweep`] (`--jobs`/`-j`), each point isolated by
+/// [`crate::sweep`] (`--jobs`), each point isolated by
 /// [`run_point`]'s timeout/retry harness; failures and timeouts become
 /// labelled rows, never a crash.
 pub fn fig_degradation() -> Table {

@@ -20,6 +20,15 @@ use membench::stream::{
 };
 use std::sync::Arc;
 
+/// Every extension table `simctl extensions` runs, by CSV stem.
+pub const ALL: &[(&str, crate::figures::FigureFn)] = &[
+    ("ext_graph", ext_graph),
+    ("ext_mttkrp", ext_mttkrp),
+    ("ext_shuffle_modes", ext_shuffle_modes),
+    ("ext_stream_suite", ext_stream_suite),
+    ("ext_multinode", ext_multinode),
+];
+
 /// Streaming-graph extension: edge-insertion throughput and BFS with the
 /// two migration strategies, on an RMAT graph.
 pub fn ext_graph() -> Result<Table, SimError> {

@@ -1,12 +1,12 @@
 //! Runners that regenerate each figure of the paper.
 //!
 //! Each function sweeps the same parameters as the corresponding figure
-//! and returns a [`Table`] whose rows are the figure's data series. The
-//! `figNN` binaries are thin wrappers; EXPERIMENTS.md records the
-//! paper-vs-measured comparison for every run.
+//! and returns a [`Table`] whose rows are the figure's data series.
+//! [`ALL`] names every runner for `simctl fig <name>|all`; EXPERIMENTS.md
+//! records the paper-vs-measured comparison for every run.
 //!
 //! Sweep points are independent simulations, so every figure fans its
-//! grid across the worker pool in [`crate::sweep`] (`--jobs`/`-j`) and
+//! grid across the worker pool in [`crate::sweep`] (`--jobs`) and
 //! assembles rows in sweep order — the tables and CSVs are identical at
 //! any job count.
 
@@ -32,6 +32,44 @@ pub const FIG4_THREADS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 64];
 pub const FIG5_THREADS: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
 /// Block sizes swept by the pointer-chase figures.
 pub const CHASE_BLOCKS: [usize; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+
+/// A table runner: one figure's full sweep.
+pub type FigureFn = fn() -> Result<Table, SimError>;
+
+/// Every table `simctl fig <name>` runs, by name; the name is also the
+/// CSV stem. All but the trailing degradation sweep are the paper
+/// campaign ([`paper`]).
+pub const ALL: &[(&str, FigureFn)] = &[
+    ("fig04", fig04),
+    ("fig05", fig05),
+    ("fig06", fig06),
+    ("fig07", fig07),
+    ("fig08", fig08),
+    ("fig09a", fig09a),
+    ("fig09b", fig09b),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("headline", headline),
+    ("fig_degradation", || {
+        Ok(crate::degradation::fig_degradation())
+    }),
+];
+
+/// The paper's tables in campaign order: what `simctl fig all` runs.
+pub fn paper() -> &'static [(&'static str, FigureFn)] {
+    &ALL[..ALL.len() - 1]
+}
+
+/// Look a table up by name; the error lists every valid name.
+pub fn by_name(name: &str) -> Result<FigureFn, String> {
+    ALL.iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| f)
+        .ok_or_else(|| {
+            let names: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+            format!("unknown figure {name:?}; one of: {} all", names.join(" "))
+        })
+}
 
 /// Evaluate a rows × cols grid of independent cells across the worker
 /// pool; returns the formatted cells in row-major sweep order (first
@@ -834,6 +872,22 @@ mod tests {
         for w in CHASE_BLOCKS.windows(2) {
             assert_eq!(w[1], w[0] * 2);
         }
+    }
+
+    #[test]
+    fn registry_names_are_unique_and_the_campaign_is_the_paper_tables() {
+        let mut names: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ALL.len(), "duplicate figure name");
+        let campaign: Vec<&str> = paper().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            campaign,
+            [
+                "fig04", "fig05", "fig06", "fig07", "fig08", "fig09a", "fig09b", "fig10", "fig11",
+                "headline"
+            ]
+        );
     }
 
     #[test]

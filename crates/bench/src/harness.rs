@@ -85,7 +85,7 @@ static SYNTH_POINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 /// the reports of the attempt that produced the row. A detached
 /// straggler that finishes after its point was abandoned is dropped,
 /// not exported: the `runs` array under `--report-json` matches the
-/// table's rows, in sweep order, at any `-j`.
+/// table's rows, in sweep order, at any `--jobs`.
 pub fn run_point<T, F>(policy: RunPolicy, f: F) -> PointOutcome<T>
 where
     T: Send + 'static,

@@ -1,14 +1,100 @@
-//! Occupancy timelines: *when* each resource is busy, not just how much.
-//!
-//! Renders per-nodelet sparklines (one char ≈ 1/64 of the run) for:
-//!
-//! * STREAM with serial vs recursive-remote spawn — the Fig 5 contrast
-//!   becomes visible as nodelet 0's long spawn/migration ramp;
-//! * a block-1 pointer chase — all eight migration engines pinned.
+//! Diagnostics behind `simctl breakdown` and `simctl timeline`: where
+//! threadlet time goes, and when each resource is busy.
 
+use crate::output::Table;
 use desim::time::Time;
+use emu_core::engine::TimeBreakdown;
 use emu_core::prelude::*;
-use membench::chase::{traversal_order, ShuffleMode};
+use membench::chase::{run_chase_emu, traversal_order, ChaseConfig, ShuffleMode};
+use membench::spmv_emu::{run_spmv_emu, EmuLayout, EmuSpmvConfig};
+use membench::stream::{run_stream_emu, EmuStreamConfig};
+use spmat::{laplacian, LaplacianSpec};
+use std::sync::Arc;
+
+fn row(t: &mut Table, name: &str, b: &TimeBreakdown) {
+    let pct = |x| format!("{:.1}", 100.0 * b.fraction(x));
+    t.row(vec![
+        name.to_string(),
+        pct(b.compute),
+        pct(b.memory),
+        pct(b.migration),
+        pct(b.store_issue),
+        pct(b.spawn),
+    ]);
+}
+
+/// Where threadlet time goes — the paper's Section III-D asks for
+/// metrics that expose "other system overheads, such as thread
+/// migration and queuing delays": the fraction of total threadlet
+/// wall-time spent computing, waiting on local memory, migrating, and
+/// posting stores, for each benchmark and configuration.
+pub fn breakdown() -> Result<Table, SimError> {
+    let cfg = presets::chick_prototype();
+    let mut t = Table::new(
+        "Threadlet time breakdown (% of total thread-time)",
+        &[
+            "workload",
+            "compute",
+            "memory",
+            "migration",
+            "stores",
+            "spawn",
+        ],
+    );
+
+    // STREAM: remote vs serial spawn.
+    for strategy in [SpawnStrategy::RecursiveRemote, SpawnStrategy::Serial] {
+        let r = run_stream_emu(
+            &cfg,
+            &EmuStreamConfig {
+                total_elems: 1 << 16,
+                nthreads: 512,
+                strategy,
+                ..Default::default()
+            },
+        )?;
+        row(
+            &mut t,
+            &format!("STREAM 512thr {}", strategy.name()),
+            &r.report.breakdown,
+        );
+    }
+
+    // Chase across the locality sweep.
+    for block in [1usize, 4, 64, 1024] {
+        let r = run_chase_emu(
+            &cfg,
+            &ChaseConfig {
+                elems_per_list: 2048.max(block),
+                nlists: 512,
+                block_elems: block,
+                mode: ShuffleMode::FullBlock,
+                seed: 5,
+            },
+        )?;
+        row(&mut t, &format!("chase block={block}"), &r.breakdown);
+    }
+
+    // SpMV layouts.
+    let m = Arc::new(laplacian(LaplacianSpec::paper(60)));
+    for layout in EmuLayout::ALL {
+        let r = run_spmv_emu(
+            &cfg,
+            Arc::clone(&m),
+            &EmuSpmvConfig {
+                layout,
+                grain_nnz: 16,
+            },
+        )?;
+        row(
+            &mut t,
+            &format!("SpMV {}", layout.name()),
+            &r.report.breakdown,
+        );
+    }
+
+    Ok(t)
+}
 
 fn show(title: &str, report: &emu_core::metrics::RunReport, gcs: u32) {
     println!("\n== {title} (makespan {}) ==", report.makespan);
@@ -61,14 +147,12 @@ fn stream_worker(arrays: &[ArrayHandle; 3], start: u64, step: u64, n: u64) -> Bo
     })
 }
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("[timeline] simulation failed: {e}");
-        std::process::exit(2);
-    }
-}
-
-fn run() -> Result<(), SimError> {
+/// Occupancy timelines: *when* each resource is busy, not just how
+/// much. Prints per-nodelet sparklines (one char ≈ 1/64 of the run) for
+/// STREAM with serial vs recursive-remote spawn — the Fig 5 contrast
+/// shows as nodelet 0's long spawn/migration ramp — and for a block-1
+/// pointer chase, where all eight migration engines stay pinned.
+pub fn timeline() -> Result<(), SimError> {
     let threads = 512usize;
     let n = 1u64 << 15;
 

@@ -1,9 +1,9 @@
-//! Shared run-size configuration for the figure binaries.
+//! Shared run-size configuration for the table commands.
 //!
-//! Every figure binary honours `EMU_QUICK=1`, which divides workload
-//! sizes by 8 — useful for smoke-testing the full harness in seconds.
+//! Every table honours `EMU_QUICK=1`, which divides workload sizes by
+//! 8 — useful for smoke-testing the full harness in seconds.
 
-/// Default trace ring capacity for `--trace-events` (figure binaries).
+/// Default trace ring capacity for `simctl fig --trace-events`.
 /// `simctl trace` defaults to 4x this: it exists to be looked at, while
 /// a traced figure run mostly wants the counters and timelines.
 pub const DEFAULT_TRACE_EVENTS: usize = 16384;
@@ -16,28 +16,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Worker-thread count for sweep execution; 0 = not set explicitly.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Set the sweep worker count (`--jobs`/`-j`). `0` reverts to the
-/// default (the `EMU_JOBS` environment variable, then the host's
-/// available parallelism). Re-settable so in-process tests can compare
-/// serial and parallel runs.
+/// Set the sweep worker count (`--jobs`). `0` reverts to the default,
+/// the host's available parallelism. Re-settable so in-process tests
+/// can compare serial and parallel runs.
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::SeqCst);
 }
 
+/// The jobs knob is process-global; the tests that set it hold this.
+#[cfg(test)]
+pub(crate) static JOBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Worker threads to fan sweep points across. Never zero.
 pub fn jobs() -> usize {
-    let set = JOBS.load(Ordering::SeqCst);
-    if set > 0 {
-        return set;
+    match JOBS.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        set => set,
     }
-    if let Ok(v) = std::env::var("EMU_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Whether quick mode is on.

@@ -5,7 +5,7 @@
 //! across a fixed-size pool of worker threads — plain `std::thread`
 //! scoped workers pulling indices off a shared atomic cursor and
 //! returning `(index, value)` over a channel — and reassembles results
-//! in **sweep order**, so output is identical at any `-j`.
+//! in **sweep order**, so output is identical at any `--jobs`.
 //!
 //! Determinism guarantees:
 //!
@@ -18,12 +18,11 @@
 //!   ([`emu_core::trace::RunScope`]) under a process-unique run key
 //!   ([`emu_core::trace::with_run_key`]): reports land in the caller's
 //!   collector, which sorts by that key at export — `--report-json` is
-//!   byte-stable across `-j` values, and concurrent sweeps in one
+//!   byte-stable across `--jobs` values, and concurrent sweeps in one
 //!   process keep separate report sets.
 //!
-//! The worker count comes from [`crate::runcfg::jobs`] (the `--jobs`/
-//! `-j` flag, the `EMU_JOBS` variable, or the host's available
-//! parallelism). At one job the sweep runs inline on the caller's
+//! The worker count comes from [`crate::runcfg::jobs`] (the `--jobs`
+//! flag, else the host's available parallelism). At one job the sweep runs inline on the caller's
 //! thread — no pool, identical to the historical serial path.
 
 use crate::runcfg;
@@ -115,10 +114,8 @@ pub fn run_thunks<T: Send>(thunks: Vec<Thunk<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runcfg::JOBS_LOCK;
     use std::sync::Mutex;
-
-    /// The jobs knob is process-global; serialize the tests that set it.
-    static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn results_come_back_in_index_order() {

@@ -1,8 +1,7 @@
 //! Executable calibration checks: every "shape criterion" DESIGN.md and
 //! EXPERIMENTS.md claim against the paper, as PASS/FAIL assertions with
-//! explicit tolerance bands. `cargo run --release --bin validate` exits
-//! nonzero if any band is violated — the regression gate for model or
-//! calibration changes.
+//! explicit tolerance bands. `simctl validate` exits nonzero if any band
+//! is violated — the regression gate for model or calibration changes.
 
 use crate::output::Table;
 use crate::runcfg::{sized, sized_usize};

@@ -78,9 +78,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Process-wide default worker count for [`Engine::run`]; `0` means
-/// "not yet resolved" (falls back to `EMU_SIM_THREADS`, then 1).
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide default worker count for [`Engine::run`].
+static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the process-wide default number of simulation workers used by
 /// every subsequently-run engine that did not call
@@ -92,20 +91,9 @@ pub fn set_sim_threads(n: usize) {
 }
 
 /// The process-wide default simulation worker count: the last value
-/// passed to [`set_sim_threads`], else `EMU_SIM_THREADS` from the
-/// environment, else 1 (fully sequential).
+/// passed to [`set_sim_threads`], else 1 (fully sequential).
 pub fn sim_threads() -> usize {
-    let v = SIM_THREADS.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let n = std::env::var("EMU_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
-    SIM_THREADS.store(n, Ordering::Relaxed);
-    n
+    SIM_THREADS.load(Ordering::Relaxed)
 }
 
 /// Capacity, in messages, of each per-edge SPSC exchange ring. Overflow

@@ -10,8 +10,8 @@
 //!
 //! Tracing is **zero-cost when disabled**: the engine holds an
 //! `Option<TraceRecorder>` and every emission site is a single
-//! `is_some` branch on the off path (verified by the `trace_overhead`
-//! microbench in `crates/bench`). When enabled, the recorder is a
+//! `is_some` branch on the off path (verified by `simctl overhead`,
+//! the gate in `crates/bench`). When enabled, the recorder is a
 //! bounded ring buffer: once `capacity` events are held, the oldest is
 //! evicted and [`TraceLog::dropped`] counts the loss, so a trace can
 //! never exhaust memory on a long run — and never lies about being
@@ -245,8 +245,8 @@ pub const UNKEYED: u64 = u64::MAX;
 /// Collected reports plus the bookkeeping that makes their export order
 /// deterministic under concurrent sweeps: each report is tagged with the
 /// run key (sweep-point id + retry attempt) of the thread that ran the
-/// engine, and [`take_reports`] sorts by `(point, seq)` — so `-j N`
-/// produces the same `runs` array as `-j 1`.
+/// engine, and [`take_reports`] sorts by `(point, seq)` — so `--jobs N`
+/// produces the same `runs` array as `--jobs 1`.
 #[derive(Debug, Default)]
 struct Collected {
     /// `(point, attempt, arrival seq, report)` per finished run.
